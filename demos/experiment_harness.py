@@ -41,7 +41,7 @@ cfg.write_text(CONFIG)
 spec = ExperimentSpec.load(cfg)
 print(f"config hash: {spec.config_hash()}\n")
 
-cmd_run(spec, out_dir=workdir / "runs", parallel=3)
+cmd_run(spec, out_dir=workdir / "runs")
 cmd_bounds(spec, out_dir=workdir / "bounds")
 cmd_sweep(spec, out_dir=workdir / "sweep")
 

@@ -29,7 +29,7 @@ both = np.concatenate([cgrad, sgrad])
 print(f"\nmonolithic oracle: loss={mono_loss:.6f}, "
       f"max grad deviation {np.max(np.abs(both - mono_grad)):.2e}")
 
-updated = ss.split_local_update(model, data, steps=10, lr=0.05, rng=rng)
+updated = ss.split_local_update(model, data, steps=10, lr=0.05)
 objective = ss.MlpObjective(model, [data])
 mono, _ = ss.local_update(model.params, objective, 0, 10, 0.05, rng)
 print(f"after 10 SGD steps, split vs monolithic parameter deviation: "

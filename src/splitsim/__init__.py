@@ -13,7 +13,7 @@ from .metrics import (DEFAULT_LR_GRID, SweepResult, averaged_grad_norm,
                       check_drift_lemma, fit_rate_exponent, lr_sweep,
                       measure_drift, rounds_to_epsilon)
 from .objectives import (HeterogeneityConstants, LogisticClient, LogisticFamily,
-                         MlpObjective, ParamVec, QuadraticClient, QuadraticFamily,
+                         MlpObjective, QuadraticClient, QuadraticFamily,
                          SplitMlp, analytic_constants, estimate_constants,
                          global_grad, global_loss, local_grad, logistic_family,
                          monolithic_loss_grad, quadratic_family, scalar_pair,

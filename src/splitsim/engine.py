@@ -1,21 +1,18 @@
 """Round execution for split learning, FedAvg and minibatch SGD.
 
 A single run is strictly sequential (the split protocol is inherently
-relay-based); distinct runs are pure functions of (objective, config) and
-can execute concurrently.
+relay-based); distinct runs are pure functions of (objective, config).
 """
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import objectives as obj
-from .objectives import SplitMlp, monolithic_loss_grad, split_forward_backward
+from .objectives import SplitMlp, split_forward_backward
 from .rng import ORDER, STEP, stream
 
 ALGORITHMS = ("sl", "fl", "minibatch")
@@ -41,7 +38,6 @@ class TrainConfig:
     lr: float = 0.01
     global_lr: float = 1.0
     clients_per_round: int | None = None  # None means full participation
-    batch_size: int = 1
     seed: int = 0
     order_policy: str = "random"  # or "fixed"
     divergence_factor: float = 10.0
@@ -89,14 +85,6 @@ class RunTrace:
     def any_diverged(self) -> bool:
         return bool(self.diverged.any())
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["round", "loss", "grad_norm_sq", "drift", "diverged"])
-            for r in range(self.rounds):
-                w.writerow([r, _fmt(self.loss[r]), _fmt(self.grad_norm_sq[r]),
-                            _fmt(self.drift[r]), int(self.diverged[r])])
-
     def summary(self) -> dict:
         return {
             "rounds": self.rounds,
@@ -108,14 +96,6 @@ class RunTrace:
             "final_x": [_json_real(v) for v in self.final_x],
             "avg_x": [_json_real(v) for v in self.avg_x],
         }
-
-    def write_summary(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-
-
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
 
 
 def _json_real(v):
@@ -161,6 +141,18 @@ def _round_order(config: TrainConfig, r: int) -> list[int]:
     return list(g.permutation(config.n_clients)[: config.participants])
 
 
+def _client_pass(start, x, objective, config: TrainConfig, r: int, i: int):
+    """Client i's local update from ``start`` in round r, plus its drift from x."""
+    try:
+        out, visited = local_update(
+            start, objective, i, config.local_steps, config.lr,
+            lambda k: stream(config.seed, STEP, r, i, k))
+    except Divergence as d:
+        d.round_index = r
+        raise
+    return out, sum(float(np.sum((v - x) ** 2)) for v in visited)
+
+
 def sl_round(x, objective, config: TrainConfig, r: int):
     """One sequential split-learning round.
 
@@ -174,14 +166,8 @@ def sl_round(x, objective, config: TrainConfig, r: int):
     cur = x.copy()
     drift = 0.0
     for i in order:
-        try:
-            cur, visited = local_update(
-                cur, objective, i, config.local_steps, config.lr,
-                lambda k, i=i: stream(config.seed, STEP, r, i, k))
-        except Divergence as d:
-            d.round_index = r
-            raise
-        drift += sum(float(np.sum((v - x) ** 2)) for v in visited)
+        cur, drift_i = _client_pass(cur, x, objective, config, r, i)
+        drift += drift_i
     # eta_g = 1 must reproduce the vanilla relay output bit-for-bit
     out = cur if config.global_lr == 1.0 else x + config.global_lr * (cur - x)
     return out, drift, order
@@ -197,15 +183,9 @@ def fl_round(x, objective, config: TrainConfig, r: int):
     avg = np.zeros_like(x)
     drift = 0.0
     for w, i in zip(weights, order):
-        try:
-            out, visited = local_update(
-                x, objective, i, config.local_steps, config.lr,
-                lambda k, i=i: stream(config.seed, STEP, r, i, k))
-        except Divergence as d:
-            d.round_index = r
-            raise
+        out, drift_i = _client_pass(x, x, objective, config, r, i)
         avg += w * out
-        drift += sum(float(np.sum((v - x) ** 2)) for v in visited)
+        drift += drift_i
     out = avg if config.global_lr == 1.0 else x + config.global_lr * (avg - x)
     return out, drift
 
@@ -295,7 +275,7 @@ def run_training(objective, config: TrainConfig) -> RunTrace:
                     diverged_at=diverged_at)
 
 
-def split_local_update(model: SplitMlp, data, steps: int, lr: float, rng) -> SplitMlp:
+def split_local_update(model: SplitMlp, data, steps: int, lr: float) -> SplitMlp:
     """K split-protocol SGD steps stepping both sides with the same rate.
 
     The sequence of full-model iterates equals local_update run on the
@@ -305,7 +285,6 @@ def split_local_update(model: SplitMlp, data, steps: int, lr: float, rng) -> Spl
     feats, targets = data
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    get = _step_rngs(rng)
     cur = model.copy()
     for k in range(steps):
         _, cgrad, sgrad, _ = split_forward_backward(cur, (feats, targets))
@@ -316,24 +295,3 @@ def split_local_update(model: SplitMlp, data, steps: int, lr: float, rng) -> Spl
             raise Divergence(cur.params, k)
     return cur
 
-
-def split_local_update_minibatch(model: SplitMlp, data, steps: int, lr: float,
-                                 batch_size: int, rng) -> SplitMlp:
-    """As split_local_update but drawing a fresh minibatch per step."""
-    feats, targets = data
-    feats = np.atleast_2d(np.asarray(feats, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    n = feats.shape[0]
-    get = _step_rngs(rng)
-    cur = model.copy()
-    for k in range(steps):
-        g = get(k)
-        if batch_size and batch_size < n:
-            idx = g.choice(n, size=batch_size, replace=False)
-            batch = (feats[idx], targets[idx])
-        else:
-            batch = (feats, targets)
-        _, cgrad, sgrad, _ = split_forward_backward(cur, batch)
-        cur.client_params = cur.client_params - lr * cgrad
-        cur.server_params = cur.server_params - lr * sgrad
-    return cur

@@ -5,14 +5,13 @@ determines every run. Each output file embeds a hash of the parsed config,
 and a manifest written last lists every file produced, so re-running a
 command with an unchanged config never changes hashed content.
 
-Exit codes: 0 success (including all-diverged sweeps), 1 usage or config
-error, 2 runtime failure.
+Exit codes: 0 success (including all-diverged sweeps), 1 usage or input
+error (flags, config, labels file), 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import csv
 import hashlib
@@ -64,7 +63,10 @@ class ExperimentSpec:
         except OSError as e:
             raise SpecError(f"cannot read config {path}: {e}") from e
         if path.suffix == ".json":
-            data = json.loads(text)
+            try:
+                data = json.loads(text)
+            except json.JSONDecodeError as e:
+                raise SpecError(f"config parse error: {e}") from e
             if not isinstance(data, dict) or not all(
                     isinstance(v, dict) for v in data.values()):
                 raise SpecError("JSON config must be an object of sections")
@@ -142,13 +144,14 @@ def build_train_config(spec: ExperimentSpec, objective, *, seed=None,
                             "closed-form optimum")
         x0 = objective.optimum()
     else:
-        x0 = _float_list(x0_raw)
+        x0 = spec.get("train", "x0", _float_list)
     kwargs = dict(
         algorithm=spec.get("train", "algorithm", default="sl"),
         n_clients=spec.get("objective", "n_clients", int),
         rounds=spec.get("train", "rounds", int),
         local_steps=spec.get("train", "local_steps", int, 1),
-        lr=spec.get("train", "lr", float),
+        # an lr override (the sweep grid) makes [train] lr optional
+        lr=None if "lr" in overrides else spec.get("train", "lr", float),
         global_lr=spec.get("train", "global_lr", float, 1.0),
         clients_per_round=spec.get("train", "clients_per_round", int, None),
         seed=spec.get("train", "seed", int, 0) if seed is None else seed,
@@ -165,10 +168,8 @@ def build_train_config(spec: ExperimentSpec, objective, *, seed=None,
 def spec_seeds(spec: ExperimentSpec, cli_seeds) -> list[int]:
     if cli_seeds is not None:
         return list(cli_seeds)
-    raw = spec.get("train", "seeds", default=None)
-    if raw is not None:
-        return _int_list(raw)
-    return [spec.get("train", "seed", int, 0)]
+    seeds = spec.get("train", "seeds", _int_list, None)
+    return [spec.get("train", "seed", int, 0)] if seeds is None else seeds
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +209,25 @@ def _versions() -> dict:
             "splitsim": pkg}
 
 
-def write_manifest(out: Path, spec: ExperimentSpec, files: list[Path]) -> Path:
+def _listed(manifest: Path) -> list:
+    """File names an existing manifest lists; [] if there is none."""
+    try:
+        return json.loads(manifest.read_text())["files"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+
+
+def write_manifest(out: Path, spec: ExperimentSpec, files: list[Path]):
+    """List ``files``, plus the files of an earlier manifest still in ``out``."""
     path = out / "manifest.json"
+    names = [f.name for f in files] + [path.name]
+    names += [n for n in _listed(path)
+              if isinstance(n, str) and n not in names and (out / n).is_file()]
     _write_json(path, spec.config_hash(), {
         "versions": _versions(),
         "spec": spec.to_dict(),
-        "files": sorted([f.name for f in files] + [path.name]),
+        "files": sorted(names),
     })
-    return path
 
 
 def _fmt17(v) -> str:
@@ -228,19 +240,11 @@ def _trace_rows(trace: RunTrace):
                _fmt17(trace.drift[r]), int(trace.diverged[r])]
 
 
-def _map_parallel(fn, items, parallel: int):
-    if parallel <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_run(spec: ExperimentSpec, out_dir=None, seeds=None, parallel=1,
-            fmt="csv") -> int:
+def cmd_run(spec: ExperimentSpec, out_dir=None, seeds=None, fmt="csv") -> int:
     """Execute one run per seed; one trace file each plus a manifest."""
     out = _out_dir(spec, out_dir)
     objective = build_objective(spec)
@@ -248,8 +252,7 @@ def cmd_run(spec: ExperimentSpec, out_dir=None, seeds=None, parallel=1,
     seeds = spec_seeds(spec, seeds)
     configs = [build_train_config(spec, objective, seed=s) for s in seeds]
 
-    traces = _map_parallel(lambda c: run_training(objective, c), configs,
-                           parallel)
+    traces = [run_training(objective, c) for c in configs]
     files = []
     for s, trace in zip(seeds, traces):
         if fmt == "json":
@@ -261,7 +264,7 @@ def cmd_run(spec: ExperimentSpec, out_dir=None, seeds=None, parallel=1,
                        ["round", "loss", "grad_norm_sq", "drift", "diverged"],
                        _trace_rows(trace))
         files.append(path)
-    files.append(write_manifest(out, spec, files))
+    write_manifest(out, spec, files)
     return 0
 
 
@@ -302,14 +305,16 @@ def cmd_bounds(spec: ExperimentSpec, out_dir=None) -> int:
 
 
 def _sweep_grid(spec: ExperimentSpec):
-    raw = spec.get("sweep", "grid", default=None)
-    return DEFAULT_LR_GRID if raw is None else tuple(_float_list(raw))
+    grid = tuple(spec.get("sweep", "grid", _float_list, DEFAULT_LR_GRID))
+    if list(grid) != sorted(grid):
+        raise SpecError("[sweep] grid: must be sorted ascending")
+    return grid
 
 
 def _heterogeneity_grid(spec: ExperimentSpec) -> list[float]:
-    raw = spec.get("sweep", "heterogeneity_grid", default=None)
-    if raw is not None:
-        return _float_list(raw)
+    grid = spec.get("sweep", "heterogeneity_grid", _float_list, None)
+    if grid is not None:
+        return grid
     return [spec.get("objective", "heterogeneity", float, 0.0)]
 
 
@@ -319,8 +324,24 @@ def _objective_at(spec: ExperimentSpec, g: float):
     return build_objective(patched)
 
 
-def cmd_compare(spec: ExperimentSpec, out_dir=None, seeds=None,
-                parallel=1) -> int:
+def _sweeps(spec: ExperimentSpec, algos, seeds) -> list[tuple]:
+    """(g, algo, objective, SweepResult) per heterogeneity level and algorithm.
+
+    Each level's objective is built once and shared by its algorithms.
+    The lr grid replaces [train] lr, so the base config's lr is a stand-in.
+    """
+    grid = _sweep_grid(spec)
+    results = []
+    for g in _heterogeneity_grid(spec):
+        objective = _objective_at(spec, g)
+        for algo in algos:
+            base = build_train_config(spec, objective, algorithm=algo, lr=0.0)
+            results.append((g, algo, objective,
+                            lr_sweep(objective, base, grid=grid, seeds=seeds)))
+    return results
+
+
+def cmd_compare(spec: ExperimentSpec, out_dir=None, seeds=None) -> int:
     """Paired FL/SL sweeps per heterogeneity level, Best metric / Threshold lr.
 
     The best-metric and threshold columns mirror the usual accuracy-table
@@ -333,20 +354,13 @@ def cmd_compare(spec: ExperimentSpec, out_dir=None, seeds=None,
     out = _out_dir(spec, out_dir)
     h = spec.config_hash()
     seeds = spec_seeds(spec, seeds)
-    grid = _sweep_grid(spec)
     matched = spec.get("compare", "equal_effective_lr", bool, False)
     n = spec.get("objective", "n_clients", int)
     k = spec.get("train", "local_steps", int, 1)
     rounds = spec.get("train", "rounds", int)
 
-    jobs = [(g, algo) for g in _heterogeneity_grid(spec)
-            for algo in ("fl", "sl")]
-
-    def one(job):
-        g, algo = job
-        objective = _objective_at(spec, g)
-        base = build_train_config(spec, objective, algorithm=algo)
-        res = lr_sweep(objective, base, grid=grid, seeds=seeds)
+    rows = []
+    for g, algo, objective, res in _sweeps(spec, ("fl", "sl"), seeds):
         row = {"heterogeneity": g, "algorithm": algo,
                "best_metric": res.summary()["best_metric"],
                "best_lr": res.best_lr,
@@ -362,9 +376,7 @@ def cmd_compare(spec: ExperimentSpec, out_dir=None, seeds=None,
                       for s in seeds]
             row["matched_lr"] = lr
             row["matched_final_loss"] = float(np.mean(losses))
-        return row
-
-    rows = _map_parallel(one, jobs, parallel)
+        rows.append(row)
     header = ["heterogeneity", "algorithm", "best_metric", "best_lr",
               "threshold_lr"] + (["matched_lr", "matched_final_loss"]
                                  if matched else [])
@@ -386,8 +398,9 @@ def cmd_partition(spec: ExperimentSpec, out_dir=None) -> int:
     labels_path = spec.get("partition", "labels")
     try:
         labels = np.loadtxt(labels_path, dtype=int, ndmin=1)
-    except OSError as e:
-        raise SpecError(f"[partition] labels: cannot read {labels_path}: {e}")
+    except (OSError, ValueError) as e:
+        raise SpecError(f"[partition] labels: cannot read {labels_path}: "
+                        f"{e}") from e
     mechanism = spec.get("partition", "mechanism")
     seed = spec.get("partition", "seed", int, 0)
     n = spec.get("partition", "n_clients", int)
@@ -416,8 +429,7 @@ def cmd_partition(spec: ExperimentSpec, out_dir=None) -> int:
     return 0
 
 
-def cmd_sweep(spec: ExperimentSpec, out_dir=None, seeds=None,
-              parallel=1) -> int:
+def cmd_sweep(spec: ExperimentSpec, out_dir=None, seeds=None) -> int:
     """Learning-rate sweep per (algorithm, heterogeneity level).
 
     An all-diverged grid is a valid scientific result: the summary carries
@@ -426,7 +438,6 @@ def cmd_sweep(spec: ExperimentSpec, out_dir=None, seeds=None,
     out = _out_dir(spec, out_dir)
     h = spec.config_hash()
     seeds = spec_seeds(spec, seeds)
-    grid = _sweep_grid(spec)
     algos_raw = spec.get("sweep", "algorithms",
                          default=spec.get("train", "algorithm", default="sl"))
     algos = algos_raw.replace(",", " ").split()
@@ -434,17 +445,8 @@ def cmd_sweep(spec: ExperimentSpec, out_dir=None, seeds=None,
         if a not in ALGORITHMS:
             raise SpecError(f"[sweep] algorithms: unknown algorithm {a!r}")
 
-    jobs = [(g, algo) for g in _heterogeneity_grid(spec) for algo in algos]
-
-    def one(job):
-        g, algo = job
-        objective = _objective_at(spec, g)
-        base = build_train_config(spec, objective, algorithm=algo)
-        return lr_sweep(objective, base, grid=grid, seeds=seeds)
-
-    results = _map_parallel(one, jobs, parallel)
     files = []
-    for (g, algo), res in zip(jobs, results):
+    for g, algo, _, res in _sweeps(spec, algos, seeds):
         stem = f"sweep_{algo}_G{g:g}"
         cpath = out / f"{stem}.csv"
         _write_csv(cpath, h, ["lr", "metric", "diverged"],
@@ -485,7 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"output directory (default ${OUT_ENV_VAR} or ./out)")
         p.add_argument("--seeds", metavar="LIST",
                        help="comma-separated seed list overriding the config")
-        p.add_argument("--parallel", type=int, default=1, metavar="N")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -495,16 +496,21 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         spec = ExperimentSpec.load(args.config)
-        seeds = _int_list(args.seeds) if args.seeds else None
+        seeds = None
+        if args.seeds:
+            try:
+                seeds = _int_list(args.seeds)
+            except ValueError as e:
+                raise SpecError(f"--seeds: invalid list {args.seeds!r}") from e
         if args.command == "run":
-            return cmd_run(spec, args.out, seeds, args.parallel, args.format)
+            return cmd_run(spec, args.out, seeds, args.format)
         if args.command == "bounds":
             return cmd_bounds(spec, args.out)
         if args.command == "compare":
-            return cmd_compare(spec, args.out, seeds, args.parallel)
+            return cmd_compare(spec, args.out, seeds)
         if args.command == "partition":
             return cmd_partition(spec, args.out)
-        return cmd_sweep(spec, args.out, seeds, args.parallel)
+        return cmd_sweep(spec, args.out, seeds)
     except SpecError as e:
         print(f"splitsim: config error: {e}", file=sys.stderr)
         return 1

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace as dc_replace
 from typing import Sequence
 
@@ -35,14 +33,6 @@ class SweepResult:
     def threshold_label(self) -> str:
         return f"> {self.grid[-1]}" if self.threshold_lr is None else str(self.threshold_lr)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lr", "metric", "diverged"])
-            for lr, m, d in zip(self.grid, self.metric, self.diverged):
-                w.writerow([format(lr, ".17g"),
-                            format(float(m), ".17g"), int(d)])
-
     def summary(self) -> dict:
         return {
             "best_lr": self.best_lr,
@@ -51,10 +41,6 @@ class SweepResult:
             "threshold_lr": self.threshold_label(),
             "all_diverged": self.all_diverged,
         }
-
-    def write_summary(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
 
 
 def measure_drift(trace: RunTrace, round_index: int) -> float:

@@ -8,17 +8,15 @@ Three families are provided:
   the client/server split protocol.
 
 All instances are immutable after construction; every evaluation is a pure
-function of (x, rng), so objectives can be shared across concurrent runs.
+function of (x, rng), so objectives can be shared across runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-ParamVec = np.ndarray
 
 
 class EstimationError(ValueError):
@@ -287,7 +285,7 @@ class SplitMlp:
         return self.with_params(self.params)
 
 
-def split_forward_backward(model: SplitMlp, batch, rng=None):
+def split_forward_backward(model: SplitMlp, batch):
     """Run the four-message split protocol on one batch.
 
     Messages: (1) client forward to cut activations, (2) server forward to

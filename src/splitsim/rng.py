@@ -15,14 +15,8 @@ import numpy as np
 # stream of round r never collides with a step stream of round r.
 ORDER = 0
 STEP = 1
-DATA = 2
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Return an independent generator for (seed, *path)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *path))))
-
-
-def spawn_run_seed(master_seed: int, run_index: int) -> int:
-    """Derive a per-run seed from a master seed."""
-    return int(stream(master_seed, 3, run_index).integers(0, 2**63 - 1))

@@ -129,7 +129,7 @@ def test_05_split_protocol_equivalence():
         lr = float(rng.uniform(0.005, 0.05))
         model = ss.SplitMlp.random(din, hidden, dout, rng)
         data = (rng.normal(size=(batch, din)), rng.normal(size=(batch, dout)))
-        updated = ss.split_local_update(model, data, steps, lr, rng)
+        updated = ss.split_local_update(model, data, steps, lr)
         objective = ss.MlpObjective(model, [data])
         mono, _ = ss.local_update(model.params, objective, 0, steps, lr, rng)
         ok &= bool(np.allclose(updated.params, mono, rtol=1e-12, atol=1e-14))

@@ -1,9 +1,11 @@
+import csv
 import json
 
 import pytest
 
 import splitsim as ss
-from splitsim.harness import ExperimentSpec, main
+from splitsim.harness import (ExperimentSpec, build_objective,
+                              build_train_config, main)
 
 BASE_INI = """
 [objective]
@@ -63,6 +65,17 @@ class TestSpec:
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["run"]) == 1
 
+    def test_malformed_json_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"objective": {"family": "quadratic",')
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "config parse error" in capsys.readouterr().err
+
+    def test_bad_seeds_flag_is_exit_1(self, tmp_path, config, capsys):
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--seeds", "a,b"]) == 1
+        assert "--seeds" in capsys.readouterr().err
+
 
 class TestRun:
     def test_three_seeds_three_traces_one_manifest(self, tmp_path, config):
@@ -81,9 +94,34 @@ class TestRun:
     def test_rerun_byte_identical(self, tmp_path, config):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["run", "--config", str(config), "--out", str(a)])
-        main(["run", "--config", str(config), "--out", str(b), "--parallel", "3"])
+        main(["run", "--config", str(config), "--out", str(b)])
         for name in ("run_seed0.csv", "run_seed1.csv", "run_seed2.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_manifest_keeps_earlier_files(self, tmp_path, config):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["bounds", "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == read_names(out)
+        assert "run_seed0.csv" in manifest["files"]
+
+    def test_csv_roundtrip(self, tmp_path, config):
+        out = tmp_path / "out"
+        main(["run", "--config", str(config), "--out", str(out), "--seeds", "0"])
+        lines = (out / "run_seed0.csv").read_text().splitlines()
+        assert lines[1] == "round,loss,grad_norm_sq,drift,diverged"
+        rows = list(csv.DictReader(lines[1:]))
+        spec = ExperimentSpec.load(config)
+        objective = build_objective(spec)
+        trace = ss.run_training(objective,
+                                build_train_config(spec, objective, seed=0))
+        assert len(rows) == trace.rounds
+        # 17 significant digits round-trip doubles exactly
+        for r, row in enumerate(rows):
+            assert float(row["loss"]) == trace.loss[r]
+            assert float(row["grad_norm_sq"]) == trace.grad_norm_sq[r]
+            assert float(row["drift"]) == trace.drift[r]
 
     def test_hash_embedded_in_csv(self, tmp_path, config):
         out = tmp_path / "out"
@@ -250,6 +288,13 @@ class TestPartition:
         main(["partition", "--config", str(path), "--out", str(b)])
         assert (a / "partition.json").read_bytes() == (b / "partition.json").read_bytes()
 
+    def test_non_integer_labels_is_exit_1(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, "dirichlet", "alpha = 1.0\n",
+                                 ["cat", "dog"])
+        assert main(["partition", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "[partition] labels" in capsys.readouterr().err
+
     def test_infeasible_reported(self, tmp_path, capsys):
         path = self.write_config(tmp_path, "dirichlet", "alpha = 1.0\n",
                                  [0, 1, 0])
@@ -286,6 +331,62 @@ heterogeneity_grid = 0.0 1.0 2.0
                     n.endswith(".json")]) == 6
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["files"]) == names
+
+    def test_csv_and_summary(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("""
+[objective]
+family = quadratic
+n_clients = 2
+dim = 1
+heterogeneity = 1.0
+seed = 0
+
+[train]
+algorithm = fl
+rounds = 10
+local_steps = 1
+lr = 0.01
+x0 = 1.0
+""")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / "sweep_fl_G1.csv").read_text().strip().splitlines()
+        assert lines[1] == "lr,metric,diverged"
+        assert len(lines) == 2 + len(ss.DEFAULT_LR_GRID)
+        data = json.loads((out / "sweep_fl_G1.json").read_text())
+        assert {"best_lr", "best_metric", "threshold_lr",
+                "all_diverged"} <= set(data)
+
+    def test_lr_not_required(self, tmp_path, capsys):
+        path = tmp_path / "s.ini"
+        path.write_text("""
+[objective]
+family = quadratic
+n_clients = 2
+dim = 1
+seed = 0
+
+[train]
+rounds = 5
+x0 = 1.0
+
+[sweep]
+grid = 0.01 0.1
+""")
+        for command in ("sweep", "compare"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / command)]) == 0
+        for command in ("run", "bounds"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / command)]) == 1
+            assert "[train] lr: required" in capsys.readouterr().err
+
+    def test_unsorted_grid_is_exit_1(self, tmp_path, config, capsys):
+        config.write_text(BASE_INI + "\n[sweep]\ngrid = 0.1 0.01\n")
+        assert main(["sweep", "--config", str(config),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "[sweep] grid" in capsys.readouterr().err
 
     def test_all_diverged_exit_zero(self, tmp_path):
         path = tmp_path / "s.ini"

@@ -153,17 +153,6 @@ class TestLrSweep:
         with pytest.raises(ValueError):
             ss.lr_sweep(pair(), ss.TrainConfig(), grid=[0.1, 0.01])
 
-    def test_csv_and_summary(self, tmp_path):
-        fam = pair()
-        cfg = ss.TrainConfig(algorithm="fl", n_clients=2, rounds=10, local_steps=1,
-                             lr=0.01, x0=[1.0])
-        res = ss.lr_sweep(fam, cfg)
-        res.write_csv(tmp_path / "sweep.csv")
-        res.write_summary(tmp_path / "sweep.json")
-        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-        assert lines[0] == "lr,metric,diverged"
-        assert len(lines) == 7
-
 
 class TestRateExponent:
     def test_exact_inverse_sqrt(self):
