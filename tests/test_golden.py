@@ -1,4 +1,5 @@
-"""Golden outputs: SHA-256 of the CLI files a fixed small config produces.
+"""Golden outputs: SHA-256 of the CLI files a fixed small config produces,
+and of the ``RunTrace`` arrays of in-process runs the CLI cannot reach.
 
 Any change to a run's numbers or to the writers' formatting changes these
 digests. A change that alters outputs on purpose (say, a new RNG scheme)
@@ -11,9 +12,12 @@ import hashlib
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from splitsim import engine, objectives
 from splitsim.harness import main
+from splitsim.rng import stream
 
 QUADRATIC = """
 [objective]
@@ -139,6 +143,73 @@ GOLDEN = {
 }
 
 
+
+# ---------------------------------------------------------------------------
+# in-process runs: a split MLP with a minibatch, and logistic clients of
+# unequal size (which FedAvg weights by sample count)
+
+
+def mlp_objective():
+    g = stream(11, 0)
+    template = objectives.SplitMlp(3, 4, 2)
+    datasets = [(g.normal(size=(10, 3)), g.normal(size=(10, 2)))
+                for _ in range(3)]
+    x0 = objectives.SplitMlp.random(3, 4, 2, g, scale=0.5).params
+    return objectives.MlpObjective(template, datasets, batch_size=4), x0
+
+
+def unequal_logistic(batch_size):
+    g = stream(12, 0)
+    clients = []
+    for n in (5, 12, 30):
+        feats = g.normal(size=(n, 4))
+        clients.append(objectives.LogisticClient(
+            feats, (feats @ np.ones(4) + g.normal(size=n) > 0).astype(float)))
+    return objectives.LogisticFamily(clients, regularization=1e-2,
+                                     batch_size=batch_size), None
+
+
+# name: (objective and x0 builder, algorithms, rounds, local steps, lr)
+TRAIN_CASES = {
+    "train-mlp": (mlp_objective, ("sl", "fl"), 6, 3, 0.1),
+    "train-logistic-unequal-minibatch": (lambda: unequal_logistic(4),
+                                         ("sl", "fl", "minibatch"), 8, 3, 0.3),
+    "train-logistic-unequal-fullbatch": (lambda: unequal_logistic(64),
+                                         ("sl", "fl", "minibatch"), 8, 3, 0.3),
+}
+
+TRAIN_GOLDEN = {
+    'train-logistic-unequal-fullbatch':
+        'cf0841fa2b9b24ee5728409e4f4a96c5002d4aabcd8477d7ade406fd07e4fe90',
+    'train-logistic-unequal-minibatch':
+        '46cee5d038d8a2ea5b389d92cdff27a73e175aaff1e1ba1350bb4319f4a4cf00',
+    'train-mlp':
+        'fad6de821efca2e19d7665fda96b9c1aaae000e1e2ba2b5924be4ef83b08b26a',
+}
+
+
+def train_digest(case: str) -> str:
+    """SHA-256 over the RunTrace arrays of every run of ``case``.
+
+    Hashed like perfbench's ``RunTrainingJob.fingerprint``.
+    """
+    build, algorithms, rounds, local_steps, lr = TRAIN_CASES[case]
+    objective, x0 = build()
+    h = hashlib.sha256()
+    for algorithm in algorithms:
+        for seed in (0, 1):
+            tr = engine.run_training(objective, engine.TrainConfig(
+                algorithm=algorithm, n_clients=objective.n_clients,
+                rounds=rounds, local_steps=local_steps, lr=lr, seed=seed,
+                x0=x0))
+            for arr in (tr.loss, tr.grad_norm_sq, tr.drift, tr.steps,
+                        tr.diverged, tr.iterates, tr.final_x, tr.avg_x):
+                h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(repr((tr.avg_grad_norm_sq, tr.final_grad_norm_sq,
+                           tr.diverged_at)).encode())
+    return h.hexdigest()
+
+
 def digests(case: str, workdir: Path) -> dict:
     """{file name: sha256} of every output file of ``case`` but the manifest."""
     command, text, extra = CASES[case]
@@ -155,6 +226,11 @@ def test_golden(case, tmp_path):
     assert digests(case, tmp_path) == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+def test_train_golden(case):
+    assert train_digest(case) == TRAIN_GOLDEN[case]
+
+
 if __name__ == "__main__":
     # print a fresh GOLDEN table for pasting above
     with tempfile.TemporaryDirectory() as tmp:
@@ -165,3 +241,7 @@ if __name__ == "__main__":
                 print(f"        {name!r}:\n            {digest!r},")
             print("    },")
         print("}")
+    print("TRAIN_GOLDEN = {")
+    for case in sorted(TRAIN_CASES):
+        print(f"    {case!r}:\n        {train_digest(case)!r},")
+    print("}")
