@@ -15,7 +15,8 @@ from .metrics import (DEFAULT_LR_GRID, SweepResult, averaged_grad_norm,
 from .objectives import (HeterogeneityConstants, LogisticClient, LogisticFamily,
                          MlpObjective, QuadraticClient, QuadraticFamily,
                          SplitMlp, analytic_constants, estimate_constants,
-                         global_grad, global_loss, local_grad, logistic_family,
+                         global_grad, global_loss, global_loss_grad,
+                         local_grad, logistic_family,
                          monolithic_loss_grad, quadratic_family, scalar_pair,
                          split_forward_backward, stochastic_grad)
 from .partition import (Partition, partition_classes, partition_dirichlet,

@@ -103,11 +103,6 @@ def _json_real(v):
     return v if np.isfinite(v) else None
 
 
-def _check_finite(x: np.ndarray, prev: np.ndarray, step: int):
-    if not np.all(np.isfinite(x)):
-        raise Divergence(prev, step)
-
-
 def _step_rngs(rng) -> Callable[[int], np.random.Generator]:
     if callable(rng):
         return rng
@@ -120,17 +115,21 @@ def local_update(x, objective, client: int, steps: int, lr: float, rng):
     ``rng`` is either a Generator (used sequentially) or a callable mapping
     the step index to a Generator. Returns (x_out, visited) where visited[k]
     is the iterate before step k.
+
+    Overflow and invalid operations inside a step are silenced: a
+    non-finite iterate is the divergence signal, raised as Divergence
+    carrying the last finite iterate.
     """
-    x = np.asarray(x, dtype=float).copy()
+    x = np.array(x, dtype=float)
     get = _step_rngs(rng)
     visited = []
-    for k in range(steps):
-        visited.append(x.copy())
-        g = objective.stochastic_grad(client, x, get(k))
-        with np.errstate(over="ignore", invalid="ignore"):
-            nxt = x - lr * g
-        _check_finite(nxt, x, k)
-        x = nxt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            visited.append(x)  # never written in place, only rebound
+            nxt = x - lr * objective.stochastic_grad(client, x, get(k))
+            if not np.isfinite(nxt).all():
+                raise Divergence(x, k)
+            x = nxt
     return x, visited
 
 
@@ -150,7 +149,8 @@ def _client_pass(start, x, objective, config: TrainConfig, r: int, i: int):
     except Divergence as d:
         d.round_index = r
         raise
-    return out, sum(float(np.sum((v - x) ** 2)) for v in visited)
+    # per-step sums added in step order: the bits of summing each step alone
+    return out, sum(np.sum((np.array(visited) - x) ** 2, axis=1).tolist())
 
 
 def sl_round(x, objective, config: TrainConfig, r: int):
@@ -163,7 +163,7 @@ def sl_round(x, objective, config: TrainConfig, r: int):
     """
     x = np.asarray(x, dtype=float)
     order = _round_order(config, r)
-    cur = x.copy()
+    cur = x  # local_update copies its start
     drift = 0.0
     for i in order:
         cur, drift_i = _client_pass(cur, x, objective, config, r, i)
@@ -200,7 +200,8 @@ def minibatch_round(x, objective, config: TrainConfig, r: int):
             total += objective.stochastic_grad(i, x, stream(config.seed, STEP, r, i, k))
             count += 1
     nxt = x - config.lr * total / count
-    _check_finite(nxt, x, 0)
+    if not np.isfinite(nxt).all():
+        raise Divergence(x, 0)
     return nxt
 
 
@@ -235,8 +236,8 @@ def run_training(objective, config: TrainConfig) -> RunTrace:
 
     for r in range(R):
         iterates[r] = x
-        loss[r] = obj.global_loss(objective, x)
-        gnorm[r] = float(np.sum(obj.global_grad(objective, x) ** 2))
+        loss[r], grad = obj.global_loss_grad(objective, x)
+        gnorm[r] = float(np.sum(grad ** 2))
         if init_loss is None:
             init_loss = loss[r]
         # loss-blowup check is meaningless from an exact optimum (init loss 0)

@@ -114,15 +114,15 @@ def _int_list(raw: str) -> list[int]:
 def build_objective(spec: ExperimentSpec):
     family = spec.get("objective", "family", default="quadratic")
     if family == "quadratic":
-        return quadratic_family(
+        make, kwargs = quadratic_family, dict(
             n_clients=spec.get("objective", "n_clients", int),
             dim=spec.get("objective", "dim", int, 1),
             curvature=spec.get("objective", "curvature", float, 1.0),
             heterogeneity=spec.get("objective", "heterogeneity", float, 0.0),
             sigma=spec.get("objective", "sigma", float, 0.0),
             seed=spec.get("objective", "seed", int, 0))
-    if family == "logistic":
-        return logistic_family(
+    elif family == "logistic":
+        make, kwargs = logistic_family, dict(
             n_clients=spec.get("objective", "n_clients", int),
             dim=spec.get("objective", "dim", int),
             samples_per_client=spec.get("objective", "samples_per_client", int),
@@ -130,7 +130,12 @@ def build_objective(spec: ExperimentSpec):
             regularization=spec.get("objective", "regularization", float, 1e-3),
             seed=spec.get("objective", "seed", int, 0),
             label_skew=spec.get("objective", "label_skew", float, 0.0))
-    raise SpecError(f"[objective] family: unknown family {family!r}")
+    else:
+        raise SpecError(f"[objective] family: unknown family {family!r}")
+    try:
+        return make(**kwargs)
+    except ValueError as e:
+        raise SpecError(f"[objective] {e}") from e
 
 
 def build_train_config(spec: ExperimentSpec, objective, *, seed=None,

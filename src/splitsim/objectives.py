@@ -82,9 +82,10 @@ class QuadraticClient:
             return self.curvature @ v
         return self.curvature * v
 
-    def loss(self, x: np.ndarray) -> float:
+    def loss_grad(self, x: np.ndarray):
         d = x - self.center
-        return 0.5 * float(d @ self._apply(d))
+        grad = self._apply(d)
+        return 0.5 * float(d @ grad), grad
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self._apply(x - self.center)
@@ -109,11 +110,14 @@ class QuadraticFamily:
         self.n_clients = len(clients)
         self.client_sizes = None  # uniform weights
 
+    def local_loss_grad(self, client: int, x):
+        return self.clients[client].loss_grad(_as_param(x, self.dim))
+
     def local_loss(self, client: int, x) -> float:
-        return self.clients[client].loss(_as_param(x, self.dim))
+        return self.local_loss_grad(client, x)[0]
 
     def local_grad(self, client: int, x) -> np.ndarray:
-        return self.clients[client].grad(_as_param(x, self.dim))
+        return self.local_loss_grad(client, x)[1]
 
     def stochastic_grad(self, client: int, x, rng: np.random.Generator) -> np.ndarray:
         c = self.clients[client]
@@ -168,12 +172,10 @@ class LogisticClient:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    # exp(-|z|) never overflows; where() rather than -abs() keeps a nan's sign
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class LogisticFamily:
@@ -188,6 +190,8 @@ class LogisticFamily:
             raise ValueError("all clients must share one feature dimension")
         if regularization < 0:
             raise ValueError("regularization must be nonnegative")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         self.clients = tuple(clients)
         self.dim = dims.pop()
         self.n_clients = len(clients)
@@ -195,30 +199,32 @@ class LogisticFamily:
         self.batch_size = batch_size
         self.client_sizes = tuple(c.n_samples for c in clients)
 
-    def _loss_grad(self, client: int, x: np.ndarray, idx=None):
+    def _grad(self, feats, labels, z, x) -> np.ndarray:
+        return (feats.T @ (_sigmoid(z) - labels) / feats.shape[0]
+                + self.regularization * x)
+
+    def local_loss_grad(self, client: int, x):
         c = self.clients[client]
-        feats = c.features if idx is None else c.features[idx]
-        labels = c.labels if idx is None else c.labels[idx]
-        z = feats @ x
-        p = _sigmoid(z)
+        x = _as_param(x, self.dim)
+        z = c.features @ x
         # numerically safe mean cross-entropy
-        loss = float(np.mean(np.logaddexp(0.0, z) - labels * z))
-        grad = feats.T @ (p - labels) / feats.shape[0]
-        loss += 0.5 * self.regularization * float(x @ x)
-        grad = grad + self.regularization * x
-        return loss, grad
+        loss = (float(np.mean(np.logaddexp(0.0, z) - c.labels * z))
+                + 0.5 * self.regularization * float(x @ x))
+        return loss, self._grad(c.features, c.labels, z, x)
 
     def local_loss(self, client: int, x) -> float:
-        return self._loss_grad(client, _as_param(x, self.dim))[0]
+        return self.local_loss_grad(client, x)[0]
 
     def local_grad(self, client: int, x) -> np.ndarray:
-        return self._loss_grad(client, _as_param(x, self.dim))[1]
+        return self.local_loss_grad(client, x)[1]
 
     def stochastic_grad(self, client: int, x, rng: np.random.Generator) -> np.ndarray:
         c = self.clients[client]
-        b = min(self.batch_size, c.n_samples)
-        idx = rng.choice(c.n_samples, size=b, replace=False)
-        return self._loss_grad(client, _as_param(x, self.dim), idx)[1]
+        x = _as_param(x, self.dim)
+        idx = rng.choice(c.n_samples, size=min(self.batch_size, c.n_samples),
+                         replace=False)
+        feats = c.features[idx]
+        return self._grad(feats, c.labels[idx], feats @ x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +338,19 @@ def split_forward_backward(model: SplitMlp, batch):
     return loss, client_grad, server_grad, activations
 
 
-def monolithic_loss_grad(model: SplitMlp, batch):
-    """Full-model forward/backward in one pass (oracle for the split path)."""
+def monolithic_loss_grad(model: SplitMlp, batch, params=None):
+    """Full-model forward/backward in one pass (oracle for the split path).
+
+    ``params``, a flat monolithic vector, is evaluated in place of the
+    model's own parameters, through views of it.
+    """
     inputs, targets = batch
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     n = inputs.shape[0]
-    w1, b1 = model._client_shapes(model.client_params)
-    w2, b2 = model._server_shapes(model.server_params)
+    flat = model.params if params is None else params
+    w1, b1 = model._client_shapes(flat[: model.n_client])
+    w2, b2 = model._server_shapes(flat[model.n_client:])
     h = np.tanh(inputs @ w1.T + b1)
     resid = h @ w2.T + b2 - targets
     loss = 0.5 * float(np.sum(resid**2)) / n
@@ -361,6 +372,8 @@ class MlpObjective:
     """
 
     def __init__(self, template: SplitMlp, datasets: Sequence[tuple], batch_size: int = 0):
+        if batch_size < 0:
+            raise ValueError("batch_size must be >= 0 (0 means full batch)")
         self.template = template
         self.datasets = [(np.atleast_2d(np.asarray(x, dtype=float)),
                           np.atleast_2d(np.asarray(y, dtype=float)))
@@ -370,13 +383,15 @@ class MlpObjective:
         self.batch_size = batch_size  # 0 means full batch
         self.client_sizes = tuple(x.shape[0] for x, _ in self.datasets)
 
+    def local_loss_grad(self, client: int, x):
+        return monolithic_loss_grad(self.template, self.datasets[client],
+                                    _as_param(x, self.dim))
+
     def local_loss(self, client: int, x) -> float:
-        m = self.template.with_params(x)
-        return monolithic_loss_grad(m, self.datasets[client])[0]
+        return self.local_loss_grad(client, x)[0]
 
     def local_grad(self, client: int, x) -> np.ndarray:
-        m = self.template.with_params(x)
-        return monolithic_loss_grad(m, self.datasets[client])[1]
+        return self.local_loss_grad(client, x)[1]
 
     def stochastic_grad(self, client: int, x, rng: np.random.Generator) -> np.ndarray:
         feats, targets = self.datasets[client]
@@ -384,8 +399,8 @@ class MlpObjective:
         if self.batch_size and self.batch_size < n:
             idx = rng.choice(n, size=self.batch_size, replace=False)
             feats, targets = feats[idx], targets[idx]
-        m = self.template.with_params(x)
-        return monolithic_loss_grad(m, (feats, targets))[1]
+        return monolithic_loss_grad(self.template, (feats, targets),
+                                    _as_param(x, self.dim))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +417,24 @@ def stochastic_grad(objective, client: int, x, rng: np.random.Generator) -> np.n
     return objective.stochastic_grad(client, x, rng)
 
 
+def global_loss_grad(objective, x):
+    """Unweighted means of the per-client losses and exact gradients.
+
+    One full-data pass per client; the only loop over clients.
+    """
+    losses, grads = zip(*(objective.local_loss_grad(i, x)
+                          for i in range(objective.n_clients)))
+    return float(np.mean(losses)), np.mean(grads, axis=0)
+
+
 def global_grad(objective, x) -> np.ndarray:
     """Unweighted mean of the per-client exact gradients."""
-    grads = [objective.local_grad(i, x) for i in range(objective.n_clients)]
-    return np.mean(grads, axis=0)
+    return global_loss_grad(objective, x)[1]
 
 
 def global_loss(objective, x) -> float:
     """Unweighted mean of the per-client losses."""
-    return float(np.mean([objective.local_loss(i, x)
-                          for i in range(objective.n_clients)]))
+    return global_loss_grad(objective, x)[0]
 
 
 def analytic_constants(objective: QuadraticFamily) -> HeterogeneityConstants:

@@ -208,6 +208,32 @@ class TestRunTraining:
         assert trace.diverged[trace.diverged_at:].all()
         assert not trace.diverged[:trace.diverged_at].any()
 
+    @pytest.mark.parametrize("algo", ["sl", "fl", "minibatch"])
+    def test_one_full_data_pass_per_evaluated_point(self, algo, monkeypatch):
+        """R rounds over N clients cost R*N + 2N full-data client passes:
+        one per client at each x^r, then the gradient at the averaged and
+        at the final iterate."""
+        fam = pair_3()
+        calls = {"passes": 0, "depth": 0}
+        for name in ("local_loss_grad", "local_loss", "local_grad"):
+            real = getattr(fam, name, None)
+            if real is None:
+                continue
+
+            def counted(*args, _real=real):
+                calls["passes"] += calls["depth"] == 0
+                calls["depth"] += 1
+                try:
+                    return _real(*args)
+                finally:
+                    calls["depth"] -= 1
+            monkeypatch.setattr(fam, name, counted)
+        rounds, n = 7, fam.n_clients
+        trace = ss.run_training(fam, ss.TrainConfig(
+            algorithm=algo, n_clients=n, rounds=rounds, local_steps=2, lr=0.01))
+        assert trace.diverged_at is None
+        assert calls["passes"] == rounds * n + 2 * n
+
     def test_step_accounting(self):
         for algo in ("sl", "fl", "minibatch"):
             cfg = ss.TrainConfig(algorithm=algo, n_clients=3, rounds=4, local_steps=2,

@@ -76,6 +76,23 @@ class TestSpec:
                      "--seeds", "a,b"]) == 1
         assert "--seeds" in capsys.readouterr().err
 
+    def test_no_clients_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_INI.replace("n_clients = 4", "n_clients = 0"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [objective]" in err and "client" in err
+
+    def test_logistic_empty_batch_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(
+            "[objective]\nfamily = logistic\nn_clients = 2\ndim = 2\n"
+            "samples_per_client = 5\nbatch_size = 0\n\n"
+            "[train]\nrounds = 3\nlr = 0.1\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "[objective] batch_size" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("run_*"))
+
 
 class TestRun:
     def test_three_seeds_three_traces_one_manifest(self, tmp_path, config):

@@ -104,6 +104,94 @@ class TestGlobalOracles:
         assert ss.global_loss(fam, [0.3]) == pytest.approx(0.0)
 
 
+def three_families():
+    g = stream(21, 0)
+    quadratic = ss.quadratic_family(3, dim=2, heterogeneity=1.0, seed=2)
+    logistic = ss.LogisticFamily(
+        [ss.LogisticClient(g.normal(size=(n, 2)), g.integers(0, 2, n))
+         for n in (3, 7, 20)], regularization=0.1)
+    mlp = ss.MlpObjective(ss.SplitMlp(2, 3, 1), [
+        (g.normal(size=(n, 2)), g.normal(size=(n, 1))) for n in (4, 9)])
+    return [(fam, g.normal(size=fam.dim)) for fam in (quadratic, logistic, mlp)]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFusedOracles:
+    @pytest.mark.parametrize("k", range(3))
+    def test_global_loss_grad_is_both_projections(self, k):
+        fam, x = three_families()[k]
+        loss, grad = ss.global_loss_grad(fam, x)
+        assert same_bits(loss, ss.global_loss(fam, x))
+        assert same_bits(grad, ss.global_grad(fam, x))
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_local_loss_grad_is_both_projections(self, k):
+        fam, x = three_families()[k]
+        for i in range(fam.n_clients):
+            loss, grad = fam.local_loss_grad(i, x)
+            assert same_bits(loss, fam.local_loss(i, x))
+            assert same_bits(grad, fam.local_grad(i, x))
+
+    def test_mlp_views_keep_shape_check(self):
+        fam, x = three_families()[2]
+        with pytest.raises(ValueError):
+            fam.local_loss_grad(0, x[:-1])
+        with pytest.raises(ValueError):
+            fam.stochastic_grad(0, x[:-1], stream(0, 1))
+
+    def test_mlp_views_equal_a_built_model(self):
+        fam, x = three_families()[2]
+        model = fam.template.with_params(x)
+        for i in range(fam.n_clients):
+            loss, grad = ss.monolithic_loss_grad(model, fam.datasets[i])
+            assert same_bits(loss, fam.local_loss(i, x))
+            assert same_bits(grad, fam.local_grad(i, x))
+
+
+def masked_sigmoid(z):
+    """The two-gather form _sigmoid replaced, kept as its reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_edge_values_bit_for_bit(self):
+        from splitsim.objectives import _sigmoid
+        z = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 745.0, -745.0,
+                      800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan])
+        with np.errstate(under="ignore"):
+            assert same_bits(_sigmoid(z), masked_sigmoid(z))
+
+    def test_random_values_bit_for_bit(self):
+        from splitsim.objectives import _sigmoid
+        g = stream(22, 0)
+        z = g.normal(0.0, 30.0, 10_000) * g.choice([1e-3, 1.0, 30.0], 10_000)
+        with np.errstate(under="ignore"):
+            assert same_bits(_sigmoid(z), masked_sigmoid(z))
+
+
+class TestBatchSizeValidation:
+    def test_logistic_rejects_batch_below_one(self):
+        client = ss.LogisticClient(np.ones((3, 2)), np.array([0, 1, 1]))
+        for b in (0, -1):
+            with pytest.raises(ValueError, match="batch_size"):
+                ss.LogisticFamily([client], batch_size=b)
+
+    def test_mlp_rejects_negative_batch(self):
+        data = [(np.ones((3, 2)), np.ones((3, 1)))]
+        with pytest.raises(ValueError, match="batch_size"):
+            ss.MlpObjective(ss.SplitMlp(2, 3, 1), data, batch_size=-1)
+        ss.MlpObjective(ss.SplitMlp(2, 3, 1), data, batch_size=0)  # full batch
+
+
 class TestAnalyticConstants:
     def test_scalar_pair(self):
         c = ss.analytic_constants(ss.scalar_pair())
