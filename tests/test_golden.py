@@ -169,7 +169,7 @@ def unequal_logistic(batch_size):
                                      batch_size=batch_size), None
 
 
-# name: (objective and x0 builder, algorithms, rounds, local steps, lr)
+# name: (makes the objective and x0, algorithms, rounds, local steps, lr)
 TRAIN_CASES = {
     "train-mlp": (mlp_objective, ("sl", "fl"), 6, 3, 0.1),
     "train-logistic-unequal-minibatch": (lambda: unequal_logistic(4),
