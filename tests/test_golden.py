@@ -70,8 +70,25 @@ CASES = {f"run-{family}-{algo}": ("run", text.format(algo=algo), [])
 CASES["run-quadratic-sl-json"] = ("run", QUADRATIC.format(algo="sl"),
                                   ["--format", "json"])
 CASES["sweep-quadratic"] = ("sweep", SWEEP, [])
+# a family without a heterogeneity knob: one level, labelled G0
+LOGISTIC_SWEEP = LOGISTIC.format(algo="sl") + """
+[sweep]
+algorithms = sl, fl, minibatch
+grid = 0.05 0.2 0.8
+
+[compare]
+equal_effective_lr = true
+"""
+CASES["sweep-logistic"] = ("sweep", LOGISTIC_SWEEP, [])
+CASES["compare-logistic"] = ("compare", LOGISTIC_SWEEP, [])
 
 GOLDEN = {
+    'compare-logistic': {
+        'compare.csv':
+            'e10b04b6b28e1efb9f13de94e9c847cf302fcac81e0d15f8cc9cbbd102ca2773',
+        'compare.json':
+            '851b1728ac70e060d612a73a98712d461117f1af4885972ba90d0b3d976ca14f',
+    },
     'run-logistic-fl': {
         'run_seed0.csv':
             'a9960b1cc85c43c4a011e0bdf660c6b8feebba7e5b375861afc81a1574322ba2',
@@ -113,6 +130,20 @@ GOLDEN = {
             'c6741c635c06f871d6302113607a0729d0bac09602d04fca917629cb69b12f9c',
         'run_seed1.json':
             '2820938957aa1f3619418ccb59e7412fee83f82eb82bc97a99c3487eebce838a',
+    },
+    'sweep-logistic': {
+        'sweep_fl_G0.csv':
+            'a060f0619716c9caee4ae40394c06226d57a52e46766216d80d8ec91bd0bea61',
+        'sweep_fl_G0.json':
+            '5d9464a269c6c5ee7610a5dedb5e2703ac82157fb8ecaeb82a52a46618d929c7',
+        'sweep_minibatch_G0.csv':
+            '3ec60c13167d2e9622dbcf0b624e654f99edc044d5efcde65f8b2db0879ce80f',
+        'sweep_minibatch_G0.json':
+            'f0420e2f952c6a2693b8f155f01ca2afc73ff767e73d6e82a0ab0104c782ff4c',
+        'sweep_sl_G0.csv':
+            '1e0056aa80a6a60ade4ec25547aa1d6ef67706689411b4b8189d9cd0665d0f39',
+        'sweep_sl_G0.json':
+            '25b103059ff2951c14a21a6e1c0eb5ff2a7268dbd0d94661babf64023f473a99',
     },
     'sweep-quadratic': {
         'sweep_fl_G0.csv':

@@ -1,5 +1,8 @@
+import ast
 import csv
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,8 +37,39 @@ def config(tmp_path):
     return path
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def read_names(out):
     return sorted(p.name for p in out.iterdir())
+
+
+def demo_config() -> str:
+    """The CONFIG string of demos/experiment_harness.py."""
+    tree = ast.parse((ROOT / "demos" / "experiment_harness.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "CONFIG")
+
+
+class TestAcceptedConfigs:
+    """Configs other code writes keep running."""
+
+    def test_demo_config(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(demo_config())
+        for command in ("run", "bounds", "sweep", "compare"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / command)]) == 0
+
+    def test_benchmark_sweep_configs(self, tmp_path, monkeypatch):
+        # every key the benchmark's sweep workload writes, [train] lr and
+        # seeds included
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workload = importlib.import_module("workloads").SweepQuadratic(0, tmp_path)
+        for algo, path in workload.configs.items():
+            assert main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / algo)]) == 0
 
 
 class TestSpec:
