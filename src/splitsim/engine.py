@@ -6,6 +6,7 @@ relay-based); distinct runs are pure functions of (objective, config).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,8 +47,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.lr < 0 or self.global_lr < 0:
-            raise ValueError("learning rates must be nonnegative")
+        for name in ("lr", "global_lr"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.local_steps < 1 or self.rounds < 1 or self.n_clients < 1:
             raise ValueError("counts must be >= 1")
         s = self.clients_per_round
@@ -55,6 +57,15 @@ class TrainConfig:
             raise ValueError("clients_per_round must satisfy 1 <= S <= N")
         if self.order_policy not in ("random", "fixed"):
             raise ValueError("order_policy must be 'random' or 'fixed'")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not self.divergence_factor >= 1:  # nan included
+            raise ValueError("divergence_factor must be >= 1")
+        if self.algorithm == "minibatch":
+            # one averaged step from x over all clients: none of these apply
+            for name in ("global_lr", "clients_per_round", "order_policy"):
+                if getattr(self, name) != getattr(TrainConfig, name):
+                    raise ValueError(f"{name} has no effect on minibatch")
 
     @property
     def participants(self) -> int:

@@ -15,6 +15,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import objectives as obj
 from .engine import ALGORITHMS, RunTrace, TrainConfig, run_training
-from .metrics import DEFAULT_LR_GRID, lr_sweep
+from .metrics import lr_sweep
 from .objectives import (analytic_constants, logistic_family, quadratic_family)
 from .partition import partition_classes, partition_dirichlet, partition_stats
 from .theory import (BoundInputs, fl_bound, max_lr_fl, max_lr_sl,
@@ -42,11 +43,56 @@ class SpecError(ValueError):
 # experiment specification
 
 
-class ExperimentSpec:
-    """Parsed config: a mapping of sections to string key/value pairs.
+def _words(raw: str) -> list[str]:
+    words = raw.replace(",", " ").split()
+    if not words:
+        raise ValueError("empty list")
+    return words
 
-    Typed access goes through get(); every error message names the section
-    and key so a bad config is diagnosable from the message alone.
+
+def _float_list(raw: str) -> list[float]:
+    return [float(v) for v in _words(raw)]
+
+
+def _int_list(raw: str) -> list[int]:
+    return [int(v) for v in _words(raw)]
+
+
+def _bool(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _x0(raw: str):
+    return raw if raw in ("zeros", "optimum") else _float_list(raw)
+
+
+# Every config key, with the parser of its raw string, per section. A key
+# left out is not passed on, so its default is the one of the code taking it.
+SCHEMA = {
+    "objective": dict(family=str, n_clients=int, dim=int, curvature=float,
+                      heterogeneity=float, sigma=float, seed=int,
+                      samples_per_client=int, batch_size=int,
+                      regularization=float, label_skew=float),
+    "train": dict(algorithm=str, rounds=int, local_steps=int, lr=float,
+                  global_lr=float, clients_per_round=int, seed=int,
+                  order_policy=str, divergence_factor=float, x0=_x0,
+                  seeds=_int_list),
+    "sweep": dict(grid=_float_list, heterogeneity_grid=_float_list,
+                  algorithms=_words),
+    "compare": dict(equal_effective_lr=_bool),
+    "partition": dict(labels=str, mechanism=str, n_clients=int, seed=int,
+                      alpha=float, classes_per_client=int),
+    "output": dict(dir=str),
+}
+FAMILIES = {"quadratic": quadratic_family, "logistic": logistic_family}
+PARTITIONS = {"dirichlet": partition_dirichlet, "classes": partition_classes}
+
+
+class ExperimentSpec:
+    """A config, parsed by SCHEMA once, on construction, into ``values``.
+
+    ``sections`` keeps the raw strings the config hash covers. An unknown
+    section or key, or a value its parser rejects, is a SpecError naming it.
     """
 
     def __init__(self, sections: dict):
@@ -54,6 +100,17 @@ class ExperimentSpec:
             str(s): {str(k): str(v) for k, v in kv.items()}
             for s, kv in sections.items()
         }
+        self.values = {s: {} for s in SCHEMA}
+        for s, kv in self.sections.items():
+            if s not in SCHEMA:
+                raise SpecError(f"[{s}]: unknown section")
+            for k, raw in kv.items():
+                if k not in SCHEMA[s]:
+                    raise SpecError(f"[{s}] {k}: unknown key")
+                try:
+                    self.values[s][k] = SCHEMA[s][k](raw)
+                except (KeyError, ValueError) as e:
+                    raise SpecError(f"[{s}] {k}: invalid value {raw!r}") from e
 
     @classmethod
     def load(cls, path) -> "ExperimentSpec":
@@ -85,96 +142,70 @@ class ExperimentSpec:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
-    def get(self, section: str, key: str, cast=str, default=_REQUIRED):
-        raw = self.sections.get(section, {}).get(key)
-        if raw is None:
-            if default is _REQUIRED:
-                raise SpecError(f"[{section}] {key}: required field missing")
-            return default
-        try:
-            if cast is bool:
-                if raw.lower() in ("1", "true", "yes", "on"):
-                    return True
-                if raw.lower() in ("0", "false", "no", "off"):
-                    return False
-                raise ValueError(raw)
-            return cast(raw)
-        except (TypeError, ValueError) as e:
-            raise SpecError(f"[{section}] {key}: invalid value {raw!r}") from e
+    def get(self, section: str, key: str, default=_REQUIRED):
+        value = self.values[section].get(key, default)
+        if value is _REQUIRED:
+            raise SpecError(f"[{section}] {key}: required field missing")
+        return value
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(v) for v in raw.replace(",", " ").split()]
+def _call(section: str, fn, kwargs: dict, required=()):
+    """``fn(**kwargs)``, the keys coming from ``[section]``.
 
-
-def _int_list(raw: str) -> list[int]:
-    return [int(v) for v in raw.replace(",", " ").split()]
-
-
-def build_objective(spec: ExperimentSpec):
-    family = spec.get("objective", "family", default="quadratic")
-    if family == "quadratic":
-        make, kwargs = quadratic_family, dict(
-            n_clients=spec.get("objective", "n_clients", int),
-            dim=spec.get("objective", "dim", int, 1),
-            curvature=spec.get("objective", "curvature", float, 1.0),
-            heterogeneity=spec.get("objective", "heterogeneity", float, 0.0),
-            sigma=spec.get("objective", "sigma", float, 0.0),
-            seed=spec.get("objective", "seed", int, 0))
-    elif family == "logistic":
-        make, kwargs = logistic_family, dict(
-            n_clients=spec.get("objective", "n_clients", int),
-            dim=spec.get("objective", "dim", int),
-            samples_per_client=spec.get("objective", "samples_per_client", int),
-            batch_size=spec.get("objective", "batch_size", int, 4),
-            regularization=spec.get("objective", "regularization", float, 1e-3),
-            seed=spec.get("objective", "seed", int, 0),
-            label_skew=spec.get("objective", "label_skew", float, 0.0))
-    else:
-        raise SpecError(f"[objective] family: unknown family {family!r}")
+    A key ``fn`` does not take, a required key left out (one ``fn`` gives no
+    default, or one named in ``required``) and a ValueError from ``fn`` each
+    become a SpecError naming the section.
+    """
+    params = inspect.signature(fn).parameters
+    for key in kwargs:
+        if key not in params:
+            raise SpecError(f"[{section}] {key}: not taken by {fn.__name__}")
+    no_default = [k for k, p in params.items() if p.default is p.empty]
+    for key in no_default + list(required):
+        if key not in kwargs:
+            raise SpecError(f"[{section}] {key}: required field missing")
     try:
-        return make(**kwargs)
+        return fn(**kwargs)
     except ValueError as e:
-        raise SpecError(f"[objective] {e}") from e
+        raise SpecError(f"[{section}] {e}") from e
 
 
-def build_train_config(spec: ExperimentSpec, objective, *, seed=None,
+def _family(spec: ExperimentSpec):
+    family = spec.get("objective", "family", "quadratic")
+    if family not in FAMILIES:
+        raise SpecError(f"[objective] family: unknown family {family!r}")
+    return FAMILIES[family]
+
+
+def build_objective(spec: ExperimentSpec, **overrides):
+    kwargs = {**spec.values["objective"], **overrides}
+    kwargs.pop("family", None)
+    return _call("objective", _family(spec), kwargs)
+
+
+def build_train_config(spec: ExperimentSpec, objective,
                        **overrides) -> TrainConfig:
-    x0_raw = spec.get("train", "x0", default=None)
-    if x0_raw is None or x0_raw == "zeros":
-        x0 = None
-    elif x0_raw == "optimum":
+    """The [train] config; an override (say the sweep's lr) replaces a key."""
+    kwargs = {**spec.values["train"], "n_clients": objective.n_clients,
+              **overrides}
+    kwargs.pop("seeds", None)
+    if kwargs.get("x0") == "zeros":
+        del kwargs["x0"]
+    elif kwargs.get("x0") == "optimum":
         if not hasattr(objective, "optimum"):
             raise SpecError("[train] x0: 'optimum' needs an objective with a "
                             "closed-form optimum")
-        x0 = objective.optimum()
-    else:
-        x0 = spec.get("train", "x0", _float_list)
-    kwargs = dict(
-        algorithm=spec.get("train", "algorithm", default="sl"),
-        n_clients=spec.get("objective", "n_clients", int),
-        rounds=spec.get("train", "rounds", int),
-        local_steps=spec.get("train", "local_steps", int, 1),
-        # an lr override (the sweep grid) makes [train] lr optional
-        lr=None if "lr" in overrides else spec.get("train", "lr", float),
-        global_lr=spec.get("train", "global_lr", float, 1.0),
-        clients_per_round=spec.get("train", "clients_per_round", int, None),
-        seed=spec.get("train", "seed", int, 0) if seed is None else seed,
-        order_policy=spec.get("train", "order_policy", default="random"),
-        divergence_factor=spec.get("train", "divergence_factor", float, 10.0),
-        x0=x0)
-    kwargs.update(overrides)
-    try:
-        return TrainConfig(**kwargs)
-    except ValueError as e:
-        raise SpecError(f"[train] {e}") from e
+        kwargs["x0"] = objective.optimum()
+    return _call("train", TrainConfig, kwargs, required=("rounds", "lr"))
 
 
 def spec_seeds(spec: ExperimentSpec, cli_seeds) -> list[int]:
+    if {"seed", "seeds"} <= spec.values["train"].keys():
+        raise SpecError("[train] seed: has no effect next to [train] seeds")
     if cli_seeds is not None:
         return list(cli_seeds)
-    seeds = spec.get("train", "seeds", _int_list, None)
-    return [spec.get("train", "seed", int, 0)] if seeds is None else seeds
+    return spec.get("train", "seeds",
+                    [spec.get("train", "seed", TrainConfig.seed)])
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +213,7 @@ def spec_seeds(spec: ExperimentSpec, cli_seeds) -> list[int]:
 
 
 def _out_dir(spec: ExperimentSpec, cli_out) -> Path:
-    out = (cli_out or spec.get("output", "dir", default=None)
+    out = (cli_out or spec.get("output", "dir", None)
            or os.environ.get(OUT_ENV_VAR) or "out")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -281,10 +312,7 @@ def cmd_bounds(spec: ExperimentSpec, out_dir=None) -> int:
     if config.participants != config.n_clients:
         raise SpecError("[train] clients_per_round: bounds assume full "
                         "participation (S = N)")
-    try:
-        constants = analytic_constants(objective)
-    except ValueError as e:
-        raise SpecError(f"[objective] {e}") from e
+    constants = _call("objective", analytic_constants, {"objective": objective})
 
     x0 = np.zeros(objective.dim) if config.x0 is None else np.asarray(config.x0)
     init_gap = float(obj.global_loss(objective, x0) - objective.min_loss())
@@ -309,41 +337,38 @@ def cmd_bounds(spec: ExperimentSpec, out_dir=None) -> int:
     return 0
 
 
-def _sweep_grid(spec: ExperimentSpec):
-    grid = tuple(spec.get("sweep", "grid", _float_list, DEFAULT_LR_GRID))
-    if list(grid) != sorted(grid):
-        raise SpecError("[sweep] grid: must be sorted ascending")
-    return grid
-
-
-def _heterogeneity_grid(spec: ExperimentSpec) -> list[float]:
-    grid = spec.get("sweep", "heterogeneity_grid", _float_list, None)
-    if grid is not None:
-        return grid
-    return [spec.get("objective", "heterogeneity", float, 0.0)]
-
-
-def _objective_at(spec: ExperimentSpec, g: float):
-    patched = ExperimentSpec(spec.to_dict())
-    patched.sections.setdefault("objective", {})["heterogeneity"] = repr(g)
-    return build_objective(patched)
+def _levels(spec: ExperimentSpec) -> list[tuple]:
+    """(G, objective) per heterogeneity level of a sweep; without a grid,
+    the objective's own (G0 for a family that takes no heterogeneity)."""
+    make = _family(spec)
+    param = inspect.signature(make).parameters.get("heterogeneity")
+    grid = spec.get("sweep", "heterogeneity_grid", None)
+    if grid is None:
+        g = spec.get("objective", "heterogeneity", getattr(param, "default", 0.0))
+        return [(g, build_objective(spec))]
+    if param is None:
+        raise SpecError(f"[sweep] heterogeneity_grid: {make.__name__} takes "
+                        "no heterogeneity")
+    return [(g, build_objective(spec, heterogeneity=g)) for g in grid]
 
 
 def _sweeps(spec: ExperimentSpec, algos, seeds) -> list[tuple]:
-    """(g, algo, objective, SweepResult) per heterogeneity level and algorithm.
+    """(g, algo, objective, base config, SweepResult) per level and algorithm.
 
     Each level's objective is built once and shared by its algorithms.
     The lr grid replaces [train] lr, so the base config's lr is a stand-in.
     """
-    grid = _sweep_grid(spec)
-    results = []
-    for g in _heterogeneity_grid(spec):
-        objective = _objective_at(spec, g)
-        for algo in algos:
-            base = build_train_config(spec, objective, algorithm=algo, lr=0.0)
-            results.append((g, algo, objective,
-                            lr_sweep(objective, base, grid=grid, seeds=seeds)))
-    return results
+    grid = spec.get("sweep", "grid", None)
+    if grid is not None and grid != sorted(grid):
+        raise SpecError("[sweep] grid: must be sorted ascending")
+    grid = {} if grid is None else {"grid": grid}
+    # every config is built, and so checked, before the first run
+    bases = [(g, algo, objective,
+              build_train_config(spec, objective, algorithm=algo, lr=0.0))
+             for g, objective in _levels(spec) for algo in algos]
+    return [(g, algo, objective, base,
+             lr_sweep(objective, base, seeds=seeds, **grid))
+            for g, algo, objective, base in bases]
 
 
 def cmd_compare(spec: ExperimentSpec, out_dir=None, seeds=None) -> int:
@@ -359,21 +384,18 @@ def cmd_compare(spec: ExperimentSpec, out_dir=None, seeds=None) -> int:
     out = _out_dir(spec, out_dir)
     h = spec.config_hash()
     seeds = spec_seeds(spec, seeds)
-    matched = spec.get("compare", "equal_effective_lr", bool, False)
-    n = spec.get("objective", "n_clients", int)
-    k = spec.get("train", "local_steps", int, 1)
-    rounds = spec.get("train", "rounds", int)
+    matched = spec.get("compare", "equal_effective_lr", False)
 
     rows = []
-    for g, algo, objective, res in _sweeps(spec, ("fl", "sl"), seeds):
+    for g, algo, objective, base, res in _sweeps(spec, ("fl", "sl"), seeds):
         row = {"heterogeneity": g, "algorithm": algo,
                "best_metric": res.summary()["best_metric"],
                "best_lr": res.best_lr,
                "threshold_lr": res.threshold_label()}
         if matched:
-            lr = 1.0 / (k * np.sqrt(rounds))
+            lr = 1.0 / (base.local_steps * np.sqrt(base.rounds))
             if algo == "sl":
-                lr /= n
+                lr /= base.n_clients
             losses = [run_training(objective,
                                    build_train_config(spec, objective,
                                                       algorithm=algo, lr=lr,
@@ -407,23 +429,17 @@ def cmd_partition(spec: ExperimentSpec, out_dir=None) -> int:
         raise SpecError(f"[partition] labels: cannot read {labels_path}: "
                         f"{e}") from e
     mechanism = spec.get("partition", "mechanism")
-    seed = spec.get("partition", "seed", int, 0)
-    n = spec.get("partition", "n_clients", int)
-    if mechanism == "dirichlet":
-        p = partition_dirichlet(labels, n, spec.get("partition", "alpha", float),
-                                seed)
-    elif mechanism == "classes":
-        p = partition_classes(labels, n,
-                              spec.get("partition", "classes_per_client", int),
-                              seed)
-    else:
+    if mechanism not in PARTITIONS:
         raise SpecError(f"[partition] mechanism: unknown mechanism {mechanism!r}")
+    kwargs = {**spec.values["partition"], "labels": labels}
+    del kwargs["mechanism"]
+    p = _call("partition", PARTITIONS[mechanism], kwargs)
 
     jpath = out / "partition.json"
     _write_json(jpath, h, {"partition": json.loads(p.to_json())})
     stats = partition_stats(p)
     rows = []
-    for i in range(n):
+    for i in range(p.n_clients):
         counts = ";".join(f"{c}:{v}" for c, v in sorted(p.class_counts[i].items()))
         rows.append([i, stats["sizes"][i], _fmt17(stats["ratios"][i]),
                      _fmt17(stats["entropy"][i]), counts])
@@ -443,15 +459,14 @@ def cmd_sweep(spec: ExperimentSpec, out_dir=None, seeds=None) -> int:
     out = _out_dir(spec, out_dir)
     h = spec.config_hash()
     seeds = spec_seeds(spec, seeds)
-    algos_raw = spec.get("sweep", "algorithms",
-                         default=spec.get("train", "algorithm", default="sl"))
-    algos = algos_raw.replace(",", " ").split()
+    algos = spec.get("sweep", "algorithms",
+                     [spec.get("train", "algorithm", TrainConfig.algorithm)])
     for a in algos:
         if a not in ALGORITHMS:
             raise SpecError(f"[sweep] algorithms: unknown algorithm {a!r}")
 
     files = []
-    for g, algo, _, res in _sweeps(spec, algos, seeds):
+    for g, algo, _, _, res in _sweeps(spec, algos, seeds):
         stem = f"sweep_{algo}_G{g:g}"
         cpath = out / f"{stem}.csv"
         _write_csv(cpath, h, ["lr", "metric", "diverged"],

@@ -163,6 +163,8 @@ class LogisticClient:
         labels = np.asarray(self.labels, dtype=float)
         if feats.shape[0] != labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
+        if labels.shape[0] == 0:
+            raise ValueError("a logistic client needs at least one sample")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
@@ -555,6 +557,8 @@ def logistic_family(n_clients: int, dim: int, samples_per_client: int,
     """Synthetic logistic clients; label_skew > 0 shifts per-client means."""
     from .rng import stream
 
+    if samples_per_client < 1:
+        raise ValueError("samples_per_client must be >= 1")
     g = stream(seed, 5)
     clients = []
     for i in range(n_clients):

@@ -16,8 +16,8 @@ import numpy as np
 from .rng import stream
 
 
-class InfeasiblePartition(ValueError):
-    pass
+class InfeasiblePartition(RuntimeError):
+    """Valid parameters that the labels cannot satisfy."""
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,20 @@ def _repair_empty(buckets: list[list[int]]):
             b.append(buckets[donor].pop())
 
 
-def partition_dirichlet(labels, n_clients: int, alpha: float, seed: int) -> Partition:
-    """Allocate each class multinomially by Dirichlet(alpha) client proportions."""
-    labels = np.asarray(labels)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+def _check(n_clients: int, seed: int):
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
+def partition_dirichlet(labels, n_clients: int, alpha: float,
+                        seed: int = 0) -> Partition:
+    """Allocate each class multinomially by Dirichlet(alpha) client proportions."""
+    labels = np.asarray(labels)
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    _check(n_clients, seed)
     if n_clients > labels.shape[0]:
         raise InfeasiblePartition("more clients than samples")
 
@@ -102,7 +109,8 @@ def partition_dirichlet(labels, n_clients: int, alpha: float, seed: int) -> Part
                      "dirichlet", {"alpha": alpha, "n_clients": n_clients})
 
 
-def partition_classes(labels, n_clients: int, classes_per_client: int, seed: int) -> Partition:
+def partition_classes(labels, n_clients: int, classes_per_client: int,
+                      seed: int = 0) -> Partition:
     """Balanced shard dealing: sort by class, cut into n_clients*C shards,
     deal C shards per client. Boundary shards may straddle two classes, so a
     client can touch at most C+1 classes."""
@@ -111,6 +119,7 @@ def partition_classes(labels, n_clients: int, classes_per_client: int, seed: int
     c = classes_per_client
     if not (1 <= c <= n_classes):
         raise ValueError("classes_per_client must be in [1, number of classes]")
+    _check(n_clients, seed)
     n_shards = n_clients * c
     if n_shards > labels.shape[0]:
         raise InfeasiblePartition("n_clients * classes_per_client exceeds sample count")

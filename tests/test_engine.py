@@ -285,3 +285,20 @@ class TestConfigValidation:
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             ss.TrainConfig(rounds=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=-1),
+        dict(lr=float("nan")), dict(lr=float("inf")),
+        dict(global_lr=float("nan")), dict(global_lr=float("inf")),
+        dict(divergence_factor=0.5), dict(divergence_factor=float("nan")),
+        dict(algorithm="minibatch", global_lr=7.0),
+        dict(algorithm="minibatch", clients_per_round=1),
+        dict(algorithm="minibatch", order_policy="fixed"),
+    ])
+    def test_rejected_value_named(self, kwargs):
+        key = [k for k in kwargs if k != "algorithm"][0]
+        with pytest.raises(ValueError, match=f"^{key} "):
+            ss.TrainConfig(**kwargs)
+
+    def test_large_seed_accepted(self):
+        assert ss.TrainConfig(seed=2**40).seed == 2**40

@@ -1,13 +1,19 @@
 import ast
+import configparser
+import contextlib
 import csv
 import importlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import splitsim as ss
-from splitsim.harness import (ExperimentSpec, build_objective,
+from splitsim.harness import (SCHEMA, ExperimentSpec, build_objective,
                               build_train_config, main)
 
 BASE_INI = """
@@ -126,6 +132,112 @@ class TestSpec:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "[objective] batch_size" in capsys.readouterr().err
         assert not list((tmp_path / "o").glob("run_*"))
+
+
+LOGISTIC_INI = """
+[objective]
+family = logistic
+n_clients = 2
+dim = 2
+samples_per_client = 5
+
+[train]
+rounds = 3
+lr = 0.1
+"""
+
+LABELS = "\n".join(str(i % 4) for i in range(40))
+
+# (command, config text, the "[section] key" the error must name)
+REJECTED = {
+    "unknown key": ("run", BASE_INI + "bogus = 1\n", "[train] bogus"),
+    "misspelt key": ("run", BASE_INI + "local_step = 5\n",
+                     "[train] local_step"),
+    "unknown section": ("run", BASE_INI + "[trian]\nrounds = 3\n", "[trian]"),
+    "key the family does not take": (
+        "run", BASE_INI.replace("seed = 1\n", "seed = 1\nbatch_size = 4\n", 1),
+        "[objective] batch_size"),
+    "heterogeneity grid on a logistic family": (
+        "sweep", LOGISTIC_INI + "[sweep]\nheterogeneity_grid = 0 1\n",
+        "[sweep] heterogeneity_grid"),
+    "no samples": ("run", LOGISTIC_INI.replace("= 5", "= 0"),
+                   "[objective] samples_per_client"),
+    "negative seed": ("run", BASE_INI.replace("seeds = 0,1,2", "seed = -1"),
+                      "[train] seed"),
+    "nan lr": ("run", BASE_INI.replace("lr = 0.01", "lr = nan"), "[train] lr"),
+    "minibatch global lr": (
+        "run", BASE_INI.replace("algorithm = sl", "algorithm = minibatch")
+        + "global_lr = 7\n", "[train] global_lr"),
+    "minibatch in a sweep with partial participation": (
+        "sweep", BASE_INI + "clients_per_round = 2\n\n[sweep]\n"
+        "algorithms = sl, minibatch\ngrid = 0.01\n",
+        "[train] clients_per_round"),
+    "empty seed list": ("run", BASE_INI.replace("seeds = 0,1,2", "seeds ="),
+                        "[train] seeds"),
+    "seed next to seeds": ("run", BASE_INI + "seed = 3\n", "[train] seed"),
+    "divergence factor below one": (
+        "run", BASE_INI + "divergence_factor = 0.5\n",
+        "[train] divergence_factor"),
+    "zero alpha": ("partition", "[partition]\nlabels = {labels}\n"
+                   "mechanism = dirichlet\nn_clients = 4\nalpha = 0\n",
+                   "[partition] alpha"),
+    "zero classes per client": (
+        "partition", "[partition]\nlabels = {labels}\nmechanism = classes\n"
+        "n_clients = 4\nclasses_per_client = 0\n",
+        "[partition] classes_per_client"),
+    "no partition clients": (
+        "partition", "[partition]\nlabels = {labels}\nmechanism = dirichlet\n"
+        "n_clients = 0\nalpha = 1\n", "[partition] n_clients"),
+    "negative partition seed": (
+        "partition", "[partition]\nlabels = {labels}\nmechanism = dirichlet\n"
+        "n_clients = 4\nalpha = 1\nseed = -1\n", "[partition] seed"),
+    "key the mechanism does not take": (
+        "partition", "[partition]\nlabels = {labels}\nmechanism = dirichlet\n"
+        "n_clients = 4\nalpha = 1\nclasses_per_client = 2\n",
+        "[partition] classes_per_client"),
+}
+
+
+def run_quietly(command, text, workdir):
+    """(exit code, stderr, files written) of one command on config ``text``."""
+    (workdir / "labels.txt").write_text(LABELS)
+    config = workdir / "exp.ini"
+    config.write_text(text.format(labels=workdir / "labels.txt"))
+    out = workdir / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(config), "--out", str(out)])
+    files = [p for p in out.rglob("*") if p.is_file()] if out.exists() else []
+    return code, err.getvalue(), files
+
+
+class TestRejected:
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_exit_1_names_key_writes_nothing(self, case, tmp_path):
+        command, text, key = REJECTED[case]
+        code, err, files = run_quietly(command, text, tmp_path)
+        assert code == 1 and f"config error: {key}" in err and not files
+
+    @settings(max_examples=40, deadline=None)
+    @given(section=st.sampled_from(sorted(SCHEMA) + [None]),
+           name=st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True))
+    def test_unknown_key_or_section(self, section, name):
+        # a key added to a section (None: a new section named ``name``)
+        cp = configparser.ConfigParser()
+        cp.read_string(BASE_INI)
+        sections = {s: dict(cp[s]) for s in cp.sections()}
+        if section is None:
+            assume(name not in SCHEMA)
+            sections[name], named = {"x": "1"}, f"[{name}]"
+        else:
+            assume(name not in SCHEMA[section])
+            sections.setdefault(section, {})[name] = "1"
+            named = f"[{section}] {name}"
+        text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                       for s, kv in sections.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, files = run_quietly("run", text, Path(tmp))
+        assert code == 1 and f"config error: {named}" in err and not files
 
 
 class TestRun:

@@ -178,6 +178,16 @@ class TestSigmoid:
             assert same_bits(_sigmoid(z), masked_sigmoid(z))
 
 
+class TestLogisticValidation:
+    def test_client_rejects_zero_samples(self):
+        with pytest.raises(ValueError, match="sample"):
+            ss.LogisticClient(np.ones((0, 2)), np.ones(0))
+
+    def test_family_rejects_zero_samples(self):
+        with pytest.raises(ValueError, match="samples_per_client"):
+            ss.logistic_family(2, dim=2, samples_per_client=0)
+
+
 class TestBatchSizeValidation:
     def test_logistic_rejects_batch_below_one(self):
         client = ss.LogisticClient(np.ones((3, 2)), np.array([0, 1, 1]))

@@ -75,6 +75,31 @@ class TestClasses:
             partition_classes([0, 1], 3, 1, seed=0)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("make, args, key", [
+        (partition_dirichlet, (5, 0.0, 0), "alpha"),
+        (partition_dirichlet, (0, 1.0, 0), "n_clients"),
+        (partition_dirichlet, (5, 1.0, -1), "seed"),
+        (partition_classes, (5, 0, 0), "classes_per_client"),
+        (partition_classes, (0, 1, 0), "n_clients"),
+        (partition_classes, (5, 1, -1), "seed"),
+    ])
+    def test_invalid_parameter_named(self, make, args, key):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            make(balanced_labels(4, 10), *args)
+
+    def test_infeasible_is_not_an_input_error(self):
+        # the parameters are valid; only these labels cannot satisfy them
+        assert not issubclass(InfeasiblePartition, ValueError)
+
+    def test_seed_defaults_to_zero(self):
+        labels = balanced_labels(4, 10)
+        assert (partition_dirichlet(labels, 5, 1.0).to_json()
+                == partition_dirichlet(labels, 5, 1.0, 0).to_json())
+        assert (partition_classes(labels, 5, 2).to_json()
+                == partition_classes(labels, 5, 2, 0).to_json())
+
+
 class TestStats:
     def test_uniform_ratios(self):
         labels = balanced_labels(10, 10)
