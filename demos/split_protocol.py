@@ -31,6 +31,6 @@ print(f"\nmonolithic oracle: loss={mono_loss:.6f}, "
 
 updated = ss.split_local_update(model, data, steps=10, lr=0.05)
 objective = ss.MlpObjective(model, [data])
-mono, _ = ss.local_update(model.params, objective, 0, 10, 0.05, rng)
+mono, _ = ss.local_update(model.params, objective, 0, 10, 0.05, lambda k: rng)
 print(f"after 10 SGD steps, split vs monolithic parameter deviation: "
       f"{np.max(np.abs(updated.params - mono)):.2e}")

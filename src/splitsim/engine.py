@@ -66,6 +66,9 @@ class TrainConfig:
             for name in ("global_lr", "clients_per_round", "order_policy"):
                 if getattr(self, name) != getattr(TrainConfig, name):
                     raise ValueError(f"{name} has no effect on minibatch")
+        if self.order_policy == "fixed" and self.participants < self.n_clients:
+            raise ValueError("order_policy 'fixed' with clients_per_round < "
+                             "n_clients never runs the other clients")
 
     @property
     def participants(self) -> int:
@@ -114,30 +117,23 @@ def _json_real(v):
     return v if np.isfinite(v) else None
 
 
-def _step_rngs(rng) -> Callable[[int], np.random.Generator]:
-    if callable(rng):
-        return rng
-    return lambda k: rng
-
-
-def local_update(x, objective, client: int, steps: int, lr: float, rng):
+def local_update(x, objective, client: int, steps: int, lr: float,
+                 rngs: Callable[[int], np.random.Generator]):
     """Run ``steps`` sequential stochastic gradient steps on client ``client``.
 
-    ``rng`` is either a Generator (used sequentially) or a callable mapping
-    the step index to a Generator. Returns (x_out, visited) where visited[k]
-    is the iterate before step k.
+    ``rngs`` maps the step index to that step's Generator. Returns
+    (x_out, visited) where visited[k] is the iterate before step k.
 
     Overflow and invalid operations inside a step are silenced: a
     non-finite iterate is the divergence signal, raised as Divergence
     carrying the last finite iterate.
     """
     x = np.array(x, dtype=float)
-    get = _step_rngs(rng)
     visited = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             visited.append(x)  # never written in place, only rebound
-            nxt = x - lr * objective.stochastic_grad(client, x, get(k))
+            nxt = x - lr * objective.stochastic_grad(client, x, rngs(k))
             if not np.isfinite(nxt).all():
                 raise Divergence(x, k)
             x = nxt
@@ -298,12 +294,12 @@ def split_local_update(model: SplitMlp, data, steps: int, lr: float) -> SplitMlp
     feats = np.atleast_2d(np.asarray(feats, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     cur = model.copy()
-    for k in range(steps):
-        _, cgrad, sgrad, _ = split_forward_backward(cur, (feats, targets))
-        cur.client_params = cur.client_params - lr * cgrad
-        cur.server_params = cur.server_params - lr * sgrad
-        if not (np.all(np.isfinite(cur.client_params))
-                and np.all(np.isfinite(cur.server_params))):
-            raise Divergence(cur.params, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            _, cgrad, sgrad, _ = split_forward_backward(cur, (feats, targets))
+            client = cur.client_params - lr * cgrad
+            server = cur.server_params - lr * sgrad
+            if not (np.isfinite(client).all() and np.isfinite(server).all()):
+                raise Divergence(cur.params, k)
+            cur.client_params, cur.server_params = client, server
     return cur
-

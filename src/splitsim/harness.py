@@ -196,6 +196,9 @@ def build_train_config(spec: ExperimentSpec, objective,
             raise SpecError("[train] x0: 'optimum' needs an objective with a "
                             "closed-form optimum")
         kwargs["x0"] = objective.optimum()
+    elif "x0" in kwargs and len(kwargs["x0"]) != objective.dim:
+        raise SpecError(f"[train] x0: {len(kwargs['x0'])} values, the objective "
+                        f"has dim {objective.dim}")
     return _call("train", TrainConfig, kwargs, required=("rounds", "lr"))
 
 
@@ -213,6 +216,8 @@ def spec_seeds(spec: ExperimentSpec, cli_seeds) -> list[int]:
 
 
 def _out_dir(spec: ExperimentSpec, cli_out) -> Path:
+    """The output directory, created; called once the inputs are built, so
+    a rejected config leaves no directory behind."""
     out = (cli_out or spec.get("output", "dir", None)
            or os.environ.get(OUT_ENV_VAR) or "out")
     out = Path(out)
@@ -282,13 +287,13 @@ def _trace_rows(trace: RunTrace):
 
 def cmd_run(spec: ExperimentSpec, out_dir=None, seeds=None, fmt="csv") -> int:
     """Execute one run per seed; one trace file each plus a manifest."""
-    out = _out_dir(spec, out_dir)
     objective = build_objective(spec)
     h = spec.config_hash()
     seeds = spec_seeds(spec, seeds)
     configs = [build_train_config(spec, objective, seed=s) for s in seeds]
 
     traces = [run_training(objective, c) for c in configs]
+    out = _out_dir(spec, out_dir)
     files = []
     for s, trace in zip(seeds, traces):
         if fmt == "json":
@@ -306,7 +311,6 @@ def cmd_run(spec: ExperimentSpec, out_dir=None, seeds=None, fmt="csv") -> int:
 
 def cmd_bounds(spec: ExperimentSpec, out_dir=None) -> int:
     """Evaluate the convergence bounds and step-size caps for the config."""
-    out = _out_dir(spec, out_dir)
     objective = build_objective(spec)
     config = build_train_config(spec, objective)
     if config.participants != config.n_clients:
@@ -315,12 +319,16 @@ def cmd_bounds(spec: ExperimentSpec, out_dir=None) -> int:
     constants = _call("objective", analytic_constants, {"objective": objective})
 
     x0 = np.zeros(objective.dim) if config.x0 is None else np.asarray(config.x0)
-    init_gap = float(obj.global_loss(objective, x0) - objective.min_loss())
-    inputs = BoundInputs(constants, config.n_clients, config.local_steps,
-                         config.rounds, config.lr, eta_g=config.global_lr,
-                         init_gap=init_gap)
+    # clamped: f(x*) can round above f(x0) when x0 is the optimum
+    init_gap = max(0.0, float(obj.global_loss(objective, x0)
+                              - objective.min_loss()))
+    inputs = _call("train", BoundInputs, dict(
+        constants=constants, n_clients=config.n_clients,
+        local_steps=config.local_steps, rounds=config.rounds, eta=config.lr,
+        eta_g=config.global_lr, init_gap=init_gap))
     sl = sl_bound(inputs)
     fl = fl_bound(inputs)
+    out = _out_dir(spec, out_dir)
     path = out / "bounds.json"
     _write_json(path, spec.config_hash(), {
         "constants": {"L": constants.L, "sigma2": constants.sigma2,
@@ -381,7 +389,6 @@ def cmd_compare(spec: ExperimentSpec, out_dir=None, seeds=None) -> int:
     per-round effective rates to 1/sqrt(R): lr = 1/(K sqrt(R)) for FL and
     1/(NK sqrt(R)) for SL.
     """
-    out = _out_dir(spec, out_dir)
     h = spec.config_hash()
     seeds = spec_seeds(spec, seeds)
     matched = spec.get("compare", "equal_effective_lr", False)
@@ -407,6 +414,7 @@ def cmd_compare(spec: ExperimentSpec, out_dir=None, seeds=None) -> int:
     header = ["heterogeneity", "algorithm", "best_metric", "best_lr",
               "threshold_lr"] + (["matched_lr", "matched_final_loss"]
                                  if matched else [])
+    out = _out_dir(spec, out_dir)
     path = out / "compare.csv"
     _write_csv(path, h, header,
                ([("" if r[c] is None else
@@ -420,7 +428,6 @@ def cmd_compare(spec: ExperimentSpec, out_dir=None, seeds=None) -> int:
 
 def cmd_partition(spec: ExperimentSpec, out_dir=None) -> int:
     """Partition a labels file and write the assignment plus per-client stats."""
-    out = _out_dir(spec, out_dir)
     h = spec.config_hash()
     labels_path = spec.get("partition", "labels")
     try:
@@ -435,6 +442,7 @@ def cmd_partition(spec: ExperimentSpec, out_dir=None) -> int:
     del kwargs["mechanism"]
     p = _call("partition", PARTITIONS[mechanism], kwargs)
 
+    out = _out_dir(spec, out_dir)
     jpath = out / "partition.json"
     _write_json(jpath, h, {"partition": json.loads(p.to_json())})
     stats = partition_stats(p)
@@ -456,7 +464,6 @@ def cmd_sweep(spec: ExperimentSpec, out_dir=None, seeds=None) -> int:
     An all-diverged grid is a valid scientific result: the summary carries
     all_diverged=true and the exit code stays 0.
     """
-    out = _out_dir(spec, out_dir)
     h = spec.config_hash()
     seeds = spec_seeds(spec, seeds)
     algos = spec.get("sweep", "algorithms",
@@ -465,8 +472,10 @@ def cmd_sweep(spec: ExperimentSpec, out_dir=None, seeds=None) -> int:
         if a not in ALGORITHMS:
             raise SpecError(f"[sweep] algorithms: unknown algorithm {a!r}")
 
+    sweeps = _sweeps(spec, algos, seeds)
+    out = _out_dir(spec, out_dir)
     files = []
-    for g, algo, _, _, res in _sweeps(spec, algos, seeds):
+    for g, algo, _, _, res in sweeps:
         stem = f"sweep_{algo}_G{g:g}"
         cpath = out / f"{stem}.csv"
         _write_csv(cpath, h, ["lr", "metric", "diverged"],
@@ -496,6 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Deterministic split-learning / FedAvg "
                                  "experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command declares only the flags it reads
     for name, help_ in (("run", "execute training runs"),
                         ("bounds", "evaluate convergence bounds"),
                         ("compare", "paired FL/SL comparison table"),
@@ -505,9 +515,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, metavar="PATH")
         p.add_argument("--out", metavar="DIR",
                        help=f"output directory (default ${OUT_ENV_VAR} or ./out)")
-        p.add_argument("--seeds", metavar="LIST",
-                       help="comma-separated seed list overriding the config")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name in ("run", "compare", "sweep"):
+            p.add_argument("--seeds", metavar="LIST",
+                           help="comma-separated seed list overriding the config")
+        if name == "run":
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -517,7 +529,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         spec = ExperimentSpec.load(args.config)
         seeds = None
-        if args.seeds:
+        if getattr(args, "seeds", None):
             try:
                 seeds = _int_list(args.seeds)
             except ValueError as e:

@@ -43,20 +43,6 @@ class SweepResult:
         }
 
 
-def measure_drift(trace: RunTrace, round_index: int) -> float:
-    """Recorded drift of one round; seed averaging is the caller's job."""
-    if trace.diverged[round_index]:
-        raise DivergedTrace(f"round {round_index} diverged")
-    return float(trace.drift[round_index])
-
-
-def averaged_grad_norm(trace: RunTrace) -> float:
-    """||grad f(x_bar^R)||^2 at the stored round-averaged iterate."""
-    if trace.any_diverged:
-        raise DivergedTrace("trace diverged; averaged iterate is undefined")
-    return trace.avg_grad_norm_sq
-
-
 @dataclass(frozen=True)
 class DriftCheckReport:
     rounds: int
@@ -69,32 +55,34 @@ class DriftCheckReport:
         return not self.violations
 
 
-def check_drift_lemma(objective, config: TrainConfig, seeds: Sequence[int],
+def check_drift_lemma(config: TrainConfig, traces: Sequence[RunTrace],
                       constants: HeterogeneityConstants) -> DriftCheckReport:
     """Compare seed-mean measured drift against the drift bound per round.
 
-    The bound is affine in ||grad f(x^r)||^2, so averaging per-seed bounds
-    equals evaluating the bound at the seed-mean gradient norm.
+    ``traces`` are runs of ``config``, one per seed. The bound is affine in
+    ||grad f(x^r)||^2, so averaging per-seed bounds equals evaluating the
+    bound at the seed-mean gradient norm.
     """
     n, k = config.n_clients, config.local_steps
     if config.lr > 1.0 / (2 * n * k * constants.L):
         raise ConstraintViolation("lemma requires eta <= 1/(2NKL)")
     if config.algorithm != "sl":
         raise ValueError("the drift lemma is stated for split learning")
+    if not traces:
+        raise ValueError("need at least one trace")
 
     drifts, bounds = [], []
-    for s in seeds:
-        trace = run_training(objective, dc_replace(config, seed=int(s)))
+    for j, trace in enumerate(traces):
         if trace.any_diverged:
-            raise DivergedTrace(f"seed {s} diverged inside the lr constraint")
+            raise DivergedTrace(f"trace {j} diverged inside the lr constraint")
         drifts.append(trace.drift)
         bounds.append([drift_bound(constants, n, k, config.lr, g)
                        for g in trace.grad_norm_sq])
     mean_drift = np.mean(drifts, axis=0)
     mean_bound = np.mean(bounds, axis=0)
-    violations = tuple(int(r) for r in range(config.rounds)
+    violations = tuple(int(r) for r in range(mean_drift.size)
                        if mean_drift[r] > mean_bound[r])
-    return DriftCheckReport(config.rounds, mean_drift, mean_bound, violations)
+    return DriftCheckReport(mean_drift.size, mean_drift, mean_bound, violations)
 
 
 def lr_sweep(objective, base_config: TrainConfig, grid: Sequence[float] = DEFAULT_LR_GRID,

@@ -19,10 +19,6 @@ from typing import Sequence
 import numpy as np
 
 
-class EstimationError(ValueError):
-    """Raised when constants cannot be estimated from the given probes."""
-
-
 def _as_param(x, dim: int) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (dim,):
@@ -409,16 +405,6 @@ class MlpObjective:
 # module-level oracles
 
 
-def local_grad(objective, client: int, x) -> np.ndarray:
-    """Exact gradient of the client objective at x."""
-    return objective.local_grad(client, x)
-
-
-def stochastic_grad(objective, client: int, x, rng: np.random.Generator) -> np.ndarray:
-    """Unbiased stochastic gradient of the client objective at x."""
-    return objective.stochastic_grad(client, x, rng)
-
-
 def global_loss_grad(objective, x):
     """Unweighted means of the per-client losses and exact gradients.
 
@@ -449,63 +435,13 @@ def analytic_constants(objective: QuadraticFamily) -> HeterogeneityConstants:
     if not isinstance(objective, QuadraticFamily):
         raise TypeError("analytic constants are only available for quadratic families")
     if not objective.shares_curvature():
-        raise ValueError("clients have differing curvatures; use estimate_constants")
+        raise ValueError("clients have differing curvatures")
     lmax = objective.clients[0].lmax()
     sigma2 = max(c.noise_sigma**2 for c in objective.clients)
     centers = np.array([c.center for c in objective.clients])
     spread = float(np.mean(np.sum((centers - centers.mean(axis=0))**2, axis=1)))
     return HeterogeneityConstants(L=lmax, sigma2=float(sigma2), B=1.0,
                                   G=float(lmax * np.sqrt(spread)))
-
-
-def estimate_constants(objective, probe_points: Sequence, samples_per_point: int,
-                       rng: np.random.Generator) -> HeterogeneityConstants:
-    """Empirical (L, sigma^2, B, G) from gradient probes.
-
-    sigma^2: worst mean squared deviation of stochastic from exact gradients.
-    (B^2, G^2): least-squares fit of mean ||grad_i||^2 against ||grad||^2
-    with intercept, clamped to B >= 1 and G^2 >= 0.
-    L: largest per-client gradient Lipschitz ratio over probe pairs.
-    """
-    probes = [_as_param(p, objective.dim) for p in probe_points]
-    if len(probes) < 10:
-        raise EstimationError("need at least 10 probe points")
-    if all(np.array_equal(p, probes[0]) for p in probes[1:]):
-        raise EstimationError("probe points are all identical")
-
-    n = objective.n_clients
-    local = np.array([[objective.local_grad(i, p) for i in range(n)] for p in probes])
-    mean_sq = np.mean(np.sum(local**2, axis=2), axis=1)          # (1/N) sum ||grad_i||^2
-    global_sq = np.sum(np.mean(local, axis=1)**2, axis=1)        # ||grad f||^2
-
-    design = np.column_stack([global_sq, np.ones_like(global_sq)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, mean_sq, rcond=None)
-    b = np.sqrt(max(float(slope), 1.0))
-    g2 = max(float(intercept), 0.0)
-
-    # worst-probe empirical variance
-    sigma2 = 0.0
-    for pi, p in enumerate(probes):
-        dev = 0.0
-        for i in range(n):
-            exact = local[pi, i]
-            sq = [np.sum((objective.stochastic_grad(i, p, rng) - exact)**2)
-                  for _ in range(samples_per_point)]
-            dev += float(np.mean(sq))
-        sigma2 = max(sigma2, dev / n)
-
-    lhat = 0.0
-    for a in range(len(probes)):
-        for bidx in range(a + 1, len(probes)):
-            gap = np.linalg.norm(probes[a] - probes[bidx])
-            if gap == 0:
-                continue
-            for i in range(n):
-                ratio = np.linalg.norm(local[a, i] - local[bidx, i]) / gap
-                lhat = max(lhat, float(ratio))
-    if lhat <= 0:
-        raise EstimationError("probes produced no gradient variation")
-    return HeterogeneityConstants(L=lhat, sigma2=sigma2, B=b, G=np.sqrt(g2))
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +459,8 @@ def quadratic_family(n_clients: int, dim: int = 1, curvature: float = 1.0,
     """
     from .rng import stream
 
+    if n_clients < 1:
+        raise ValueError("family needs at least one client")
     if heterogeneity == 0.0 or n_clients == 1:
         centers = np.zeros((n_clients, dim))
     else:

@@ -137,19 +137,6 @@ def one_client_bound(inputs: BoundInputs) -> float:
             + 4 * c.G**2)
 
 
-def one_client_max_lr(constants: HeterogeneityConstants, local_steps: int) -> float:
-    return 1.0 / (2 * math.sqrt(5) * local_steps * constants.L)
-
-
-def effective_lr(algorithm: str, n_clients: int, local_steps: int, eta: float) -> float:
-    """K*eta for FedAvg, N*K*eta for split learning."""
-    if algorithm == "fl":
-        return local_steps * eta
-    if algorithm == "sl":
-        return n_clients * local_steps * eta
-    raise ValueError("effective learning rate is defined for 'sl' and 'fl' only")
-
-
 def round_complexity(algorithm: str, init_gap: float, constants: HeterogeneityConstants,
                      n_clients: int, local_steps: int, epsilon: float) -> float:
     """Rounds-to-epsilon with all swallowed constants set to 1.

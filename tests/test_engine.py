@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,27 +13,32 @@ def pair():
     return ss.scalar_pair()  # centers (1, -1), unit curvature
 
 
+def shared(g):
+    """Per-step Generators for local_update: every step draws from ``g``."""
+    return lambda k: g
+
+
 class TestLocalUpdate:
     def test_one_step(self):
         fam = ss.QuadraticFamily([ss.QuadraticClient(1.0, [1.0])])
-        out, visited = ss.local_update([0.0], fam, 0, 1, 0.1, stream(0, 1))
+        out, visited = ss.local_update([0.0], fam, 0, 1, 0.1, shared(stream(0, 1)))
         assert out[0] == pytest.approx(0.1)
         assert len(visited) == 1 and visited[0][0] == 0.0
 
     def test_two_steps(self):
         fam = ss.QuadraticFamily([ss.QuadraticClient(1.0, [1.0])])
-        out, visited = ss.local_update([0.0], fam, 0, 2, 0.1, stream(0, 1))
+        out, visited = ss.local_update([0.0], fam, 0, 2, 0.1, shared(stream(0, 1)))
         assert out[0] == pytest.approx(0.19)
         assert [v[0] for v in visited] == pytest.approx([0.0, 0.1])
 
     def test_zero_lr(self):
-        out, _ = ss.local_update([0.3], pair(), 0, 5, 0.0, stream(0, 1))
+        out, _ = ss.local_update([0.3], pair(), 0, 5, 0.0, shared(stream(0, 1)))
         assert out[0] == 0.3
 
     def test_divergence_carries_last_finite(self):
         fam = ss.QuadraticFamily([ss.QuadraticClient(1e200, [1.0])])
         with pytest.raises(Divergence) as exc:
-            ss.local_update([0.0], fam, 0, 5, 1e200, stream(0, 1))
+            ss.local_update([0.0], fam, 0, 5, 1e200, shared(stream(0, 1)))
         assert np.all(np.isfinite(exc.value.last_finite))
 
 
@@ -121,7 +129,8 @@ class TestFlRound:
         cfg = ss.TrainConfig(algorithm="fl", n_clients=4, local_steps=3, lr=0.05,
                              rounds=1, order_policy="fixed")
         out, _ = ss.fl_round(np.zeros(1), fam, cfg, 0)
-        single, _ = ss.local_update(np.zeros(1), fam, 0, 3, 0.05, stream(0, 1))
+        single, _ = ss.local_update(np.zeros(1), fam, 0, 3, 0.05,
+                                    shared(stream(0, 1)))
         np.testing.assert_allclose(out, single, rtol=1e-12)
 
     def test_weighted_by_sample_counts(self):
@@ -230,6 +239,28 @@ class TestRunTraining:
         assert trace.diverged_at is None
         assert calls["passes"] == rounds * n + 2 * n
 
+    @pytest.mark.parametrize("algo,lr,diverges", [
+        ("sl", 0.5, "never"), ("sl", 2.01, "before"), ("sl", 2.005, "after"),
+        ("fl", 0.5, "never"), ("fl", 2.02, "before"), ("fl", 2.01, "after"),
+        ("minibatch", 0.5, "never"), ("minibatch", 2.05, "before"),
+        ("minibatch", 2.01, "after"),
+    ])
+    def test_shorter_run_is_prefix(self, algo, lr, diverges):
+        """An R = 50 run equals the first 50 rounds of an R = 200 run bit
+        for bit, whether the long run diverges before round 50, after it or
+        never; criteria 02 and 03 share one set of runs on this."""
+        fam = ss.scalar_pair(centers=(0.0, 0.0), sigma=0.1)
+        cfg = ss.TrainConfig(algorithm=algo, n_clients=2, rounds=200,
+                             local_steps=2, lr=lr, x0=[1.0], seed=3)
+        long = ss.run_training(fam, cfg)
+        short = ss.run_training(fam, replace(cfg, rounds=50))
+        at = long.diverged_at
+        assert diverges == ("never" if at is None
+                            else "before" if at < 50 else "after")
+        for name in ("loss", "grad_norm_sq", "drift", "diverged", "iterates"):
+            assert (getattr(short, name).tobytes()
+                    == getattr(long, name)[:50].tobytes()), name
+
     def test_step_accounting(self):
         for algo in ("sl", "fl", "minibatch"):
             cfg = ss.TrainConfig(algorithm=algo, n_clients=3, rounds=4, local_steps=2,
@@ -253,7 +284,8 @@ class TestSplitLocalUpdate:
         data = (rng.normal(size=(5, 2)), rng.normal(size=(5, 1)))
         updated = ss.split_local_update(model, data, 1, 0.05)
         objective = ss.MlpObjective(model, [data])
-        mono, _ = ss.local_update(model.params, objective, 0, 1, 0.05, stream(13, 1))
+        mono, _ = ss.local_update(model.params, objective, 0, 1, 0.05,
+                                  shared(stream(13, 1)))
         np.testing.assert_allclose(updated.params, mono, rtol=1e-12)
 
     def test_matches_monolithic_many_steps(self):
@@ -262,7 +294,8 @@ class TestSplitLocalUpdate:
         data = (rng.normal(size=(8, 3)), rng.normal(size=(8, 2)))
         updated = ss.split_local_update(model, data, 7, 0.02)
         objective = ss.MlpObjective(model, [data])
-        mono, _ = ss.local_update(model.params, objective, 0, 7, 0.02, stream(14, 1))
+        mono, _ = ss.local_update(model.params, objective, 0, 7, 0.02,
+                                  shared(stream(14, 1)))
         np.testing.assert_allclose(updated.params, mono, rtol=1e-12)
 
     def test_zero_lr_unchanged(self):
@@ -271,6 +304,16 @@ class TestSplitLocalUpdate:
         data = (rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
         updated = ss.split_local_update(model, data, 3, 0.0)
         np.testing.assert_array_equal(updated.params, model.params)
+
+    def test_divergence_carries_last_finite(self):
+        rng = stream(16, 9)
+        model = ss.SplitMlp.random(2, 2, 1, rng)
+        data = (rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow stays silent
+            with pytest.raises(Divergence) as exc:
+                ss.split_local_update(model, data, 5, 1e200)
+        assert np.all(np.isfinite(exc.value.last_finite))
 
 
 class TestConfigValidation:
@@ -294,6 +337,7 @@ class TestConfigValidation:
         dict(algorithm="minibatch", global_lr=7.0),
         dict(algorithm="minibatch", clients_per_round=1),
         dict(algorithm="minibatch", order_policy="fixed"),
+        dict(order_policy="fixed", n_clients=4, clients_per_round=2),
     ])
     def test_rejected_value_named(self, kwargs):
         key = [k for k in kwargs if k != "algorithm"][0]

@@ -105,6 +105,17 @@ class TestSpec:
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["run"]) == 1
 
+    @pytest.mark.parametrize("command,flag", [
+        ("bounds", ["--seeds", "7"]), ("sweep", ["--format", "json"]),
+        ("partition", ["--seeds", "1"])])
+    def test_flag_the_command_ignores_is_exit_1(self, tmp_path, config,
+                                                command, flag, capsys):
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]
+                    + flag) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_json_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"objective": {"family": "quadratic",')
@@ -175,6 +186,13 @@ REJECTED = {
     "empty seed list": ("run", BASE_INI.replace("seeds = 0,1,2", "seeds ="),
                         "[train] seeds"),
     "seed next to seeds": ("run", BASE_INI + "seed = 3\n", "[train] seed"),
+    "fixed order with partial participation": (
+        "run", BASE_INI + "clients_per_round = 2\norder_policy = fixed\n",
+        "[train] order_policy"),
+    "x0 of the wrong length": (
+        "run", BASE_INI.replace("x0 = 1.0, -1.0", "x0 = 1.0"), "[train] x0"),
+    "zero lr in bounds": ("bounds", BASE_INI.replace("lr = 0.01", "lr = 0"),
+                          "[train] learning rates"),
     "divergence factor below one": (
         "run", BASE_INI + "divergence_factor = 0.5\n",
         "[train] divergence_factor"),
@@ -199,7 +217,8 @@ REJECTED = {
 
 
 def run_quietly(command, text, workdir):
-    """(exit code, stderr, files written) of one command on config ``text``."""
+    """(exit code, stderr, whether the output directory was made) of one
+    command on config ``text``."""
     (workdir / "labels.txt").write_text(LABELS)
     config = workdir / "exp.ini"
     config.write_text(text.format(labels=workdir / "labels.txt"))
@@ -207,16 +226,15 @@ def run_quietly(command, text, workdir):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main([command, "--config", str(config), "--out", str(out)])
-    files = [p for p in out.rglob("*") if p.is_file()] if out.exists() else []
-    return code, err.getvalue(), files
+    return code, err.getvalue(), out.exists()
 
 
 class TestRejected:
     @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_exit_1_names_key_writes_nothing(self, case, tmp_path):
         command, text, key = REJECTED[case]
-        code, err, files = run_quietly(command, text, tmp_path)
-        assert code == 1 and f"config error: {key}" in err and not files
+        code, err, made = run_quietly(command, text, tmp_path)
+        assert code == 1 and f"config error: {key}" in err and not made
 
     @settings(max_examples=40, deadline=None)
     @given(section=st.sampled_from(sorted(SCHEMA) + [None]),
@@ -236,8 +254,8 @@ class TestRejected:
         text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
                        for s, kv in sections.items())
         with tempfile.TemporaryDirectory() as tmp:
-            code, err, files = run_quietly("run", text, Path(tmp))
-        assert code == 1 and f"config error: {named}" in err and not files
+            code, err, made = run_quietly("run", text, Path(tmp))
+        assert code == 1 and f"config error: {named}" in err and not made
 
 
 class TestRun:
@@ -366,6 +384,17 @@ x0 = 2.0
         data = json.loads((out / "bounds.json").read_text())
         assert not data["sl"]["lr_ok"]
         assert data["sl"]["total"] > 0
+
+    def test_default_x0_at_optimum(self, tmp_path):
+        # the recentred centres average to ~1e-17, not 0, so f(0) - f(x*)
+        # rounds below zero; the gap is clamped, not rejected
+        path = tmp_path / "b.ini"
+        path.write_text("[objective]\nn_clients = 4\ndim = 2\n"
+                        "heterogeneity = 1.0\n\n[train]\nrounds = 10\n"
+                        "lr = 0.01\n")
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "bounds.json").read_text())["init_gap"] == 0.0
 
     def test_partial_participation_refused(self, tmp_path, capsys):
         path = self.worked_config(tmp_path)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,18 +12,23 @@ def pair(sigma=0.0):
     return ss.scalar_pair(sigma=sigma)
 
 
+def runs(objective, config, seeds):
+    """One trace of ``config`` per seed, the input check_drift_lemma judges."""
+    return [ss.run_training(objective, replace(config, seed=s)) for s in seeds]
+
+
 class TestMeasureDrift:
     def test_zero_lr_zero_drift(self):
         cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=5, local_steps=2,
                              lr=0.0, x0=[1.0])
         trace = ss.run_training(pair(), cfg)
-        assert all(ss.measure_drift(trace, r) == 0.0 for r in range(5))
+        assert all(trace.drift[r] == 0.0 for r in range(5))
 
     def test_hand_example(self):
         cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=1, local_steps=1,
                              lr=0.1, order_policy="fixed")
         trace = ss.run_training(pair(), cfg)
-        assert ss.measure_drift(trace, 0) == pytest.approx(0.01)
+        assert trace.drift[0] == pytest.approx(0.01)
 
     def test_iid_deterministic_drift_by_hand(self):
         # two identical clients, K=1: client 1 stays at x, client 2 starts at
@@ -30,15 +37,18 @@ class TestMeasureDrift:
         cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=1, local_steps=1,
                              lr=0.1, order_policy="fixed")
         trace = ss.run_training(fam, cfg)
-        assert ss.measure_drift(trace, 0) == pytest.approx(0.1**2)
+        assert trace.drift[0] == pytest.approx(0.1**2)
 
     def test_diverged_round_rejected(self):
-        fam = ss.scalar_pair(curvature=10.0)
-        cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=20, local_steps=5,
-                             lr=0.25, x0=[2.0])
-        trace = ss.run_training(fam, cfg)
+        # inside the lr constraint, but any loss above f(x^0) counts as a
+        # blow-up when starting from the optimum
+        fam = ss.scalar_pair(sigma=1.0)
+        cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=5, local_steps=1,
+                             lr=0.05, x0=[0.0], divergence_factor=1.0)
+        traces = runs(fam, cfg, [0])
+        assert traces[0].diverged[traces[0].diverged_at:].all()
         with pytest.raises(DivergedTrace):
-            ss.measure_drift(trace, trace.diverged_at)
+            ss.check_drift_lemma(cfg, traces, ss.analytic_constants(fam))
 
 
 class TestDriftLemma:
@@ -47,7 +57,7 @@ class TestDriftLemma:
         consts = ss.analytic_constants(fam)
         cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=200, local_steps=2,
                              lr=0.05, x0=[2.0])
-        report = ss.check_drift_lemma(fam, cfg, seeds=range(20), constants=consts)
+        report = ss.check_drift_lemma(cfg, runs(fam, cfg, range(20)), consts)
         assert report.ok
 
     def test_at_optimum_both_sides_zero(self):
@@ -55,7 +65,7 @@ class TestDriftLemma:
         consts = ss.analytic_constants(fam)
         cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=10, local_steps=1,
                              lr=0.05, x0=[0.0])
-        report = ss.check_drift_lemma(fam, cfg, seeds=[0], constants=consts)
+        report = ss.check_drift_lemma(cfg, runs(fam, cfg, [0]), consts)
         assert np.all(report.mean_drift == 0.0)
         assert np.all(report.mean_bound == 0.0)
 
@@ -65,7 +75,7 @@ class TestDriftLemma:
         lr = 0.99 / (2 * 2 * 2 * consts.L)
         cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=50, local_steps=2,
                              lr=lr, x0=[1.0])
-        report = ss.check_drift_lemma(fam, cfg, seeds=range(20), constants=consts)
+        report = ss.check_drift_lemma(cfg, runs(fam, cfg, range(20)), consts)
         assert report.ok
         assert np.all(np.isfinite(report.mean_bound))
 
@@ -75,7 +85,7 @@ class TestDriftLemma:
         cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=5, local_steps=2,
                              lr=1.0)
         with pytest.raises(ConstraintViolation):
-            ss.check_drift_lemma(fam, cfg, seeds=[0], constants=consts)
+            ss.check_drift_lemma(cfg, runs(fam, cfg, [0]), consts)
 
 
 class TestAveragedGradNorm:
@@ -83,7 +93,7 @@ class TestAveragedGradNorm:
         cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=1, local_steps=1,
                              lr=0.01, x0=[2.0])
         trace = ss.run_training(pair(), cfg)
-        assert ss.averaged_grad_norm(trace) == pytest.approx(trace.grad_norm_sq[0])
+        assert trace.avg_grad_norm_sq == pytest.approx(trace.grad_norm_sq[0])
 
     def test_symmetric_average_is_zero(self):
         fam = pair()
@@ -101,8 +111,8 @@ class TestAveragedGradNorm:
                              lr=0.02, x0=[3.0], seed=3)
         trace = ss.run_training(fam, cfg)
         brute = np.sum(ss.global_grad(fam, trace.iterates.mean(axis=0))**2)
-        assert ss.averaged_grad_norm(trace) == pytest.approx(brute, rel=1e-12)
-        assert ss.averaged_grad_norm(trace) != pytest.approx(
+        assert trace.avg_grad_norm_sq == pytest.approx(brute, rel=1e-12)
+        assert trace.avg_grad_norm_sq != pytest.approx(
             np.mean(trace.grad_norm_sq), rel=1e-3)
 
     def test_diverged_rejected(self):
@@ -110,8 +120,8 @@ class TestAveragedGradNorm:
         cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=20, local_steps=5,
                              lr=0.25, x0=[2.0])
         trace = ss.run_training(fam, cfg)
-        with pytest.raises(DivergedTrace):
-            ss.averaged_grad_norm(trace)
+        assert trace.any_diverged
+        assert np.isnan(trace.avg_grad_norm_sq)
 
 
 class TestLrSweep:

@@ -1,10 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitsim as ss
-from splitsim.objectives import EstimationError
 from splitsim.rng import stream
 
 
@@ -21,45 +22,45 @@ def finite_difference_grad(fn, x, h=1e-6):
 class TestLocalGrad:
     def test_scalar_quadratic(self):
         fam = ss.QuadraticFamily([ss.QuadraticClient(1.0, [1.0])])
-        assert ss.local_grad(fam, 0, [0.0]) == pytest.approx(-1.0)
+        assert fam.local_grad(0, [0.0]) == pytest.approx(-1.0)
 
     def test_identity_quadratic_2d(self):
         fam = ss.QuadraticFamily([ss.QuadraticClient(np.eye(2), [0.0, 0.0])])
-        np.testing.assert_allclose(ss.local_grad(fam, 0, [3.0, 4.0]), [3.0, 4.0])
+        np.testing.assert_allclose(fam.local_grad(0, [3.0, 4.0]), [3.0, 4.0])
 
     def test_logistic_matches_finite_differences(self):
         fam = ss.LogisticFamily([ss.LogisticClient([[1.0, -2.0]], [1.0])],
                                 regularization=0.1)
         x = np.array([0.3, -0.7])
-        exact = ss.local_grad(fam, 0, x)
+        exact = fam.local_grad(0, x)
         approx = finite_difference_grad(lambda z: fam.local_loss(0, z), x)
         np.testing.assert_allclose(exact, approx, rtol=1e-6)
 
     def test_dimension_mismatch(self):
         fam = ss.scalar_pair()
         with pytest.raises(ValueError):
-            ss.local_grad(fam, 0, [1.0, 2.0])
+            fam.local_grad(0, [1.0, 2.0])
 
 
 class TestStochasticGrad:
     def test_zero_noise_is_exact(self):
         fam = ss.scalar_pair(sigma=0.0)
-        g = ss.stochastic_grad(fam, 0, [0.5], stream(0, 1))
-        np.testing.assert_array_equal(g, ss.local_grad(fam, 0, [0.5]))
+        g = fam.stochastic_grad(0, [0.5], stream(0, 1))
+        np.testing.assert_array_equal(g, fam.local_grad(0, [0.5]))
 
     def test_unbiased_monte_carlo(self):
         fam = ss.QuadraticFamily([ss.QuadraticClient(1.0, [1.0], noise_sigma=1.0)])
         rng = stream(42, 9)
-        exact = ss.local_grad(fam, 0, [0.0])
-        devs = np.array([ss.stochastic_grad(fam, 0, [0.0], rng) - exact
+        exact = fam.local_grad(0, [0.0])
+        devs = np.array([fam.stochastic_grad(0, [0.0], rng) - exact
                          for _ in range(10**5)])
         assert abs(devs.mean()) < 3e-5**0.5 * 3
 
     def test_variance_monte_carlo(self):
         fam = ss.QuadraticFamily([ss.QuadraticClient(1.0, [1.0], noise_sigma=1.0)])
         rng = stream(7, 9)
-        exact = ss.local_grad(fam, 0, [0.0])
-        sq = [np.sum((ss.stochastic_grad(fam, 0, [0.0], rng) - exact)**2)
+        exact = fam.local_grad(0, [0.0])
+        sq = [np.sum((fam.stochastic_grad(0, [0.0], rng) - exact)**2)
               for _ in range(10**5)]
         assert np.mean(sq) == pytest.approx(1.0, abs=0.05)
 
@@ -68,8 +69,8 @@ class TestStochasticGrad:
         fam = ss.QuadraticFamily([ss.QuadraticClient(np.ones(4), np.zeros(4),
                                                      noise_sigma=2.0)])
         rng = stream(3, 9)
-        exact = ss.local_grad(fam, 0, np.zeros(4))
-        sq = [np.sum((ss.stochastic_grad(fam, 0, np.zeros(4), rng) - exact)**2)
+        exact = fam.local_grad(0, np.zeros(4))
+        sq = [np.sum((fam.stochastic_grad(0, np.zeros(4), rng) - exact)**2)
               for _ in range(2 * 10**4)]
         assert np.mean(sq) == pytest.approx(4.0, rel=0.05)
 
@@ -77,8 +78,8 @@ class TestStochasticGrad:
         fam = ss.logistic_family(1, dim=3, samples_per_client=20, batch_size=4, seed=5)
         x = np.array([0.2, -0.1, 0.4])
         rng = stream(11, 9)
-        draws = np.array([ss.stochastic_grad(fam, 0, x, rng) for _ in range(20000)])
-        np.testing.assert_allclose(draws.mean(axis=0), ss.local_grad(fam, 0, x),
+        draws = np.array([fam.stochastic_grad(0, x, rng) for _ in range(20000)])
+        np.testing.assert_allclose(draws.mean(axis=0), fam.local_grad(0, x),
                                    atol=4 * draws.std(axis=0).max() / np.sqrt(20000))
 
 
@@ -92,7 +93,7 @@ class TestGlobalOracles:
     def test_single_client_equals_local(self):
         fam = ss.QuadraticFamily([ss.QuadraticClient(2.0, [0.5])])
         x = [1.7]
-        np.testing.assert_array_equal(ss.global_grad(fam, x), ss.local_grad(fam, 0, x))
+        np.testing.assert_array_equal(ss.global_grad(fam, x), fam.local_grad(0, x))
 
     def test_global_loss_values(self):
         fam = ss.scalar_pair()
@@ -188,6 +189,14 @@ class TestLogisticValidation:
             ss.logistic_family(2, dim=2, samples_per_client=0)
 
 
+class TestQuadraticValidation:
+    def test_no_clients_rejected_before_any_arithmetic(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the mean of no centers warns
+            with pytest.raises(ValueError, match="client"):
+                ss.quadratic_family(0, dim=2, heterogeneity=1.0)
+
+
 class TestBatchSizeValidation:
     def test_logistic_rejects_batch_below_one(self):
         client = ss.LogisticClient(np.ones((3, 2)), np.array([0, 1, 1]))
@@ -224,40 +233,6 @@ class TestAnalyticConstants:
         for g in (0.5, 1.0, 4.0):
             fam = ss.quadratic_family(6, dim=3, heterogeneity=g, seed=2)
             assert ss.analytic_constants(fam).G == pytest.approx(g)
-
-
-class TestEstimateConstants:
-    def test_recovers_analytic_g(self):
-        fam = ss.scalar_pair()
-        rng = stream(1, 9)
-        probes = [rng.uniform(-3, 3, 1) for _ in range(50)]
-        est = ss.estimate_constants(fam, probes, samples_per_point=1, rng=rng)
-        assert est.G**2 == pytest.approx(1.0, rel=0.1)
-        assert est.L == pytest.approx(1.0, rel=1e-9)
-
-    def test_zero_noise_sigma(self):
-        fam = ss.scalar_pair(sigma=0.0)
-        rng = stream(2, 9)
-        probes = [rng.uniform(-3, 3, 1) for _ in range(12)]
-        est = ss.estimate_constants(fam, probes, samples_per_point=5, rng=rng)
-        assert est.sigma2 == 0.0
-
-    def test_iid_gives_zero_g(self):
-        fam = ss.QuadraticFamily([ss.QuadraticClient(1.0, [0.7])] * 3)
-        rng = stream(3, 9)
-        probes = [rng.uniform(-3, 3, 1) for _ in range(20)]
-        est = ss.estimate_constants(fam, probes, samples_per_point=1, rng=rng)
-        assert est.G**2 <= 1e-9
-
-    def test_degenerate_probes(self):
-        fam = ss.scalar_pair()
-        with pytest.raises(EstimationError):
-            ss.estimate_constants(fam, [np.zeros(1)] * 12, 1, stream(0, 9))
-
-    def test_too_few_probes(self):
-        fam = ss.scalar_pair()
-        with pytest.raises(EstimationError):
-            ss.estimate_constants(fam, [np.ones(1)] * 5, 1, stream(0, 9))
 
 
 class TestSplitForwardBackward:
@@ -314,7 +289,7 @@ class TestAssumptionProperties:
         rng = stream(seed, 9)
         for _ in range(40):
             x = rng.uniform(-5, 5, 2)
-            mean_sq = np.mean([np.sum(ss.local_grad(fam, i, x)**2)
+            mean_sq = np.mean([np.sum(fam.local_grad(i, x)**2)
                                for i in range(fam.n_clients)])
             bound = c.B**2 * np.sum(ss.global_grad(fam, x)**2) + c.G**2
             assert mean_sq <= bound * (1 + 1e-12)
@@ -328,5 +303,5 @@ class TestAssumptionProperties:
         for _ in range(40):
             x, y = rng.uniform(-5, 5, 3), rng.uniform(-5, 5, 3)
             for i in range(fam.n_clients):
-                lhs = np.linalg.norm(ss.local_grad(fam, i, x) - ss.local_grad(fam, i, y))
+                lhs = np.linalg.norm(fam.local_grad(i, x) - fam.local_grad(i, y))
                 assert lhs <= c.L * np.linalg.norm(x - y) * (1 + 1e-12)

@@ -143,30 +143,6 @@ class TestOneClientBound:
                                                  init_gap=1.0))
         assert val == pytest.approx(6.4, rel=1e-12)
 
-    def test_max_lr(self):
-        assert ss.one_client_max_lr(consts(), 4) == pytest.approx(
-            1 / (2 * math.sqrt(5) * 4), rel=1e-12)
-
-
-class TestEffectiveLr:
-    def test_fl(self):
-        assert ss.effective_lr("fl", 10, 5, 0.01) == pytest.approx(0.05)
-
-    def test_sl(self):
-        assert ss.effective_lr("sl", 10, 5, 0.01) == pytest.approx(0.5)
-
-    def test_matching_rule(self):
-        # equal effective rates means eta_FL = N * eta_SL
-        n, k = 8, 3
-        eta_sl = 0.004
-        eta_fl = n * eta_sl
-        assert ss.effective_lr("fl", n, k, eta_fl) == pytest.approx(
-            ss.effective_lr("sl", n, k, eta_sl), rel=1e-12)
-
-    def test_minibatch_unsupported(self):
-        with pytest.raises(ValueError):
-            ss.effective_lr("minibatch", 2, 2, 0.1)
-
 
 class TestRoundComplexity:
     def test_no_noise_identical(self):
