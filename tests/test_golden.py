@@ -176,8 +176,9 @@ GOLDEN = {
 
 
 # ---------------------------------------------------------------------------
-# in-process runs: a split MLP with a minibatch, and logistic clients of
-# unequal size (which FedAvg weights by sample count)
+# in-process runs: a split MLP with a minibatch, logistic clients of
+# unequal size (which FedAvg weights by sample count), and noisy runs at
+# seeds the CLI configs do not reach
 
 
 def mlp_objective():
@@ -200,13 +201,26 @@ def unequal_logistic(batch_size):
                                      batch_size=batch_size), None
 
 
-# name: (makes the objective and x0, algorithms, rounds, local steps, lr)
+def noisy_quadratic():
+    return objectives.quadratic_family(4, dim=2, curvature=2.0, heterogeneity=1.0,
+                                       sigma=0.5, seed=3), [1.0, -1.0]
+
+
+# seeds of 2**32 and above take SeedSequence more than one 32-bit word
+LARGE_SEEDS = (2**32 + 5, 2**64 + 3)
+ALL = ("sl", "fl", "minibatch")
+
+# name: (makes the objective and x0, algorithms, rounds, local steps, lr, seeds)
 TRAIN_CASES = {
-    "train-mlp": (mlp_objective, ("sl", "fl"), 6, 3, 0.1),
+    "train-mlp": (mlp_objective, ("sl", "fl"), 6, 3, 0.1, (0, 1)),
     "train-logistic-unequal-minibatch": (lambda: unequal_logistic(4),
-                                         ("sl", "fl", "minibatch"), 8, 3, 0.3),
+                                         ALL, 8, 3, 0.3, (0, 1)),
     "train-logistic-unequal-fullbatch": (lambda: unequal_logistic(64),
-                                         ("sl", "fl", "minibatch"), 8, 3, 0.3),
+                                         ALL, 8, 3, 0.3, (0, 1)),
+    "train-quadratic-noisy-large-seed": (noisy_quadratic, ALL, 8, 3, 0.05,
+                                         LARGE_SEEDS),
+    "train-logistic-unequal-minibatch-large-seed": (
+        lambda: unequal_logistic(4), ALL, 8, 3, 0.3, LARGE_SEEDS),
 }
 
 TRAIN_GOLDEN = {
@@ -214,8 +228,12 @@ TRAIN_GOLDEN = {
         'cf0841fa2b9b24ee5728409e4f4a96c5002d4aabcd8477d7ade406fd07e4fe90',
     'train-logistic-unequal-minibatch':
         '46cee5d038d8a2ea5b389d92cdff27a73e175aaff1e1ba1350bb4319f4a4cf00',
+    'train-logistic-unequal-minibatch-large-seed':
+        'b2f038be857d28b4d409be69c4c5bd142b49f70eacc152f6d0758e558378e8f6',
     'train-mlp':
         'fad6de821efca2e19d7665fda96b9c1aaae000e1e2ba2b5924be4ef83b08b26a',
+    'train-quadratic-noisy-large-seed':
+        'ba290eed5edf2d2d00e57a6f31d7b56df6ea95470b9d7e029aa47c7aa2c42ab6',
 }
 
 
@@ -224,11 +242,11 @@ def train_digest(case: str) -> str:
 
     Hashed like perfbench's ``RunTrainingJob.fingerprint``.
     """
-    build, algorithms, rounds, local_steps, lr = TRAIN_CASES[case]
+    build, algorithms, rounds, local_steps, lr, seeds = TRAIN_CASES[case]
     objective, x0 = build()
     h = hashlib.sha256()
     for algorithm in algorithms:
-        for seed in (0, 1):
+        for seed in seeds:
             tr = engine.run_training(objective, engine.TrainConfig(
                 algorithm=algorithm, n_clients=objective.n_clients,
                 rounds=rounds, local_steps=local_steps, lr=lr, seed=seed,
