@@ -14,9 +14,11 @@ import numpy as np
 
 from . import objectives as obj
 from .objectives import SplitMlp, split_forward_backward
-from .rng import ORDER, STEP, stream
+from .rng import ORDER, STEP, keys, rekeyer, stream
 
 ALGORITHMS = ("sl", "fl", "minibatch")
+# most steps a run keys in one pass, so its key table does not grow with R
+KEY_BLOCK = 2**16
 
 
 class Divergence(RuntimeError):
@@ -121,8 +123,10 @@ def local_update(x, objective, client: int, steps: int, lr: float,
                  rngs: Callable[[int], np.random.Generator]):
     """Run ``steps`` sequential stochastic gradient steps on client ``client``.
 
-    ``rngs`` maps the step index to that step's Generator. Returns
-    (x_out, visited) where visited[k] is the iterate before step k.
+    ``rngs`` maps the step index to that step's Generator, which is valid
+    only inside that ``stochastic_grad`` call: the engine re-keys one
+    Generator per step. Returns (x_out, visited) where visited[k] is the
+    iterate before step k.
 
     Overflow and invalid operations inside a step are silenced: a
     non-finite iterate is the divergence signal, raised as Divergence
@@ -147,12 +151,21 @@ def _round_order(config: TrainConfig, r: int) -> list[int]:
     return list(g.permutation(config.n_clients)[: config.participants])
 
 
-def _client_pass(start, x, objective, config: TrainConfig, r: int, i: int):
+def step_rngs(config: TrainConfig, r0: int, r1: int) -> list:
+    """Per round r0 .. r1-1, ``rngs(i, k)``: client i's step-k Generator,
+    one generator (``rng.rekeyer``) re-keyed per step, keys from one pass."""
+    shape = (r1 - r0, config.n_clients, config.local_steps)
+    paths = np.indices((1, *shape)).reshape(4, -1).T + [STEP, r0, 0, 0]
+    rekey = rekeyer()
+    return [lambda i, k, t=t: rekey(t[i][k])
+            for t in keys(config.seed, paths).reshape(*shape, 2).tolist()]
+
+
+def _client_pass(start, x, objective, config: TrainConfig, r: int, i: int, rngs):
     """Client i's local update from ``start`` in round r, plus its drift from x."""
     try:
-        out, visited = local_update(
-            start, objective, i, config.local_steps, config.lr,
-            lambda k: stream(config.seed, STEP, r, i, k))
+        out, visited = local_update(start, objective, i, config.local_steps,
+                                    config.lr, lambda k: rngs(i, k))
     except Divergence as d:
         d.round_index = r
         raise
@@ -160,29 +173,32 @@ def _client_pass(start, x, objective, config: TrainConfig, r: int, i: int):
     return out, sum(np.sum((np.array(visited) - x) ** 2, axis=1).tolist())
 
 
-def sl_round(x, objective, config: TrainConfig, r: int):
+def sl_round(x, objective, config: TrainConfig, r: int, rngs=None):
     """One sequential split-learning round.
 
     Clients in the sampled order each run local_update seeded from the
     previous client's output; the returned iterate interpolates between x
     and the raw relay output with the global learning rate. Drift is the
-    summed squared distance of every visited iterate from x.
+    summed squared distance of every visited iterate from x. ``rngs`` is
+    the round's entry of ``step_rngs``, derived here when not given.
     """
     x = np.asarray(x, dtype=float)
+    rngs = rngs or step_rngs(config, r, r + 1)[0]
     order = _round_order(config, r)
     cur = x  # local_update copies its start
     drift = 0.0
     for i in order:
-        cur, drift_i = _client_pass(cur, x, objective, config, r, i)
+        cur, drift_i = _client_pass(cur, x, objective, config, r, i, rngs)
         drift += drift_i
     # eta_g = 1 must reproduce the vanilla relay output bit-for-bit
     out = cur if config.global_lr == 1.0 else x + config.global_lr * (cur - x)
     return out, drift, order
 
 
-def fl_round(x, objective, config: TrainConfig, r: int):
+def fl_round(x, objective, config: TrainConfig, r: int, rngs=None):
     """One FedAvg round: parallel local updates from x, weighted averaging."""
     x = np.asarray(x, dtype=float)
+    rngs = rngs or step_rngs(config, r, r + 1)[0]
     order = _round_order(config, r)
     sizes = getattr(objective, "client_sizes", None)
     weights = np.array([1.0 if sizes is None else sizes[i] for i in order], dtype=float)
@@ -190,25 +206,26 @@ def fl_round(x, objective, config: TrainConfig, r: int):
     avg = np.zeros_like(x)
     drift = 0.0
     for w, i in zip(weights, order):
-        out, drift_i = _client_pass(x, x, objective, config, r, i)
+        out, drift_i = _client_pass(x, x, objective, config, r, i, rngs)
         avg += w * out
         drift += drift_i
     out = avg if config.global_lr == 1.0 else x + config.global_lr * (avg - x)
     return out, drift
 
 
-def minibatch_round(x, objective, config: TrainConfig, r: int):
+def minibatch_round(x, objective, config: TrainConfig, r: int, rngs=None):
     """All N*K stochastic gradients evaluated at x, averaged, one step."""
     x = np.asarray(x, dtype=float)
+    rngs = rngs or step_rngs(config, r, r + 1)[0]
     total = np.zeros_like(x)
     count = 0
     for i in range(config.n_clients):
         for k in range(config.local_steps):
-            total += objective.stochastic_grad(i, x, stream(config.seed, STEP, r, i, k))
+            total += objective.stochastic_grad(i, x, rngs(i, k))
             count += 1
     nxt = x - config.lr * total / count
     if not np.isfinite(nxt).all():
-        raise Divergence(x, 0)
+        raise Divergence(x, 0, r)
     return nxt
 
 
@@ -217,7 +234,8 @@ def run_training(objective, config: TrainConfig) -> RunTrace:
 
     Divergence (non-finite iterate, or round loss exceeding
     divergence_factor times the initial loss) marks the offending and all
-    later rounds; earlier records stay valid.
+    later rounds; earlier records stay valid. Step keys are derived for
+    blocks of rounds of at most KEY_BLOCK steps, one generator per block.
     """
     d = objective.dim
     x = (np.zeros(d) if config.x0 is None
@@ -235,13 +253,13 @@ def run_training(objective, config: TrainConfig) -> RunTrace:
     diverged_at = None
     init_loss = None
 
-    per_round_steps = {
-        "sl": config.participants * config.local_steps,
-        "fl": config.participants * config.local_steps,
-        "minibatch": config.n_clients * config.local_steps,
-    }[config.algorithm]
+    per_round_steps = config.local_steps * (
+        config.n_clients if config.algorithm == "minibatch" else config.participants)
 
+    per_block = max(1, KEY_BLOCK // (config.n_clients * config.local_steps))
     for r in range(R):
+        if r % per_block == 0:
+            block = step_rngs(config, r, min(R, r + per_block))
         iterates[r] = x
         loss[r], grad = obj.global_loss_grad(objective, x)
         gnorm[r] = float(np.sum(grad ** 2))
@@ -255,12 +273,13 @@ def run_training(objective, config: TrainConfig) -> RunTrace:
             diverged[r:] = True
             break
         try:
+            rngs = block[r % per_block]
             if config.algorithm == "sl":
-                x, drift[r], _ = sl_round(x, objective, config, r)
+                x, drift[r], _ = sl_round(x, objective, config, r, rngs)
             elif config.algorithm == "fl":
-                x, drift[r] = fl_round(x, objective, config, r)
+                x, drift[r] = fl_round(x, objective, config, r, rngs)
             else:
-                x = minibatch_round(x, objective, config, r)
+                x = minibatch_round(x, objective, config, r, rngs)
             steps[r] = per_round_steps
         except Divergence as d_exc:
             diverged_at = r
@@ -270,12 +289,10 @@ def run_training(objective, config: TrainConfig) -> RunTrace:
 
     valid = ~np.isnan(iterates).any(axis=1)
     avg_x = iterates[valid].mean(axis=0) if valid.any() else np.full(d, np.nan)
+    avg_grad = final_grad = float("nan")
     if diverged_at is None:
         avg_grad = float(np.sum(obj.global_grad(objective, avg_x) ** 2))
         final_grad = float(np.sum(obj.global_grad(objective, x) ** 2))
-    else:
-        avg_grad = float("nan")
-        final_grad = float("nan")
 
     return RunTrace(loss=loss, grad_norm_sq=gnorm, drift=drift, steps=steps,
                     diverged=diverged, iterates=iterates, final_x=x, avg_x=avg_x,

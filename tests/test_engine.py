@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import splitsim as ss
-from splitsim.engine import Divergence
-from splitsim.rng import stream
+from splitsim.engine import Divergence, step_rngs
+from splitsim.rng import ORDER, STEP, stream
 
 
 def pair():
@@ -176,6 +176,69 @@ class TestMinibatchRound:
 
         v1, v4 = update_var(1), update_var(4)
         assert v1 / v4 == pytest.approx(4.0, rel=0.25)
+
+
+class TestNoisePathEqualsStreams:
+    """Each round rule equals local_update and stochastic_grad composed with
+    ``stream`` per step, bit for bit, on noisy clients: with no keys, with
+    the round's own keys and with its entry of a longer run's key table."""
+
+    FAMILIES = {
+        "noisy-quadratic": lambda: ss.quadratic_family(
+            3, dim=2, heterogeneity=1.0, sigma=0.7, seed=2),
+        "logistic-minibatch": lambda: ss.logistic_family(
+            3, dim=3, samples_per_client=10, batch_size=4, seed=1),
+    }
+    R = 2  # the round checked, inside a 4-round table
+
+    def streams(self, cfg, i):
+        return lambda k: stream(cfg.seed, STEP, self.R, i, k)
+
+    def order(self, cfg):
+        return list(stream(cfg.seed, ORDER, self.R)
+                    .permutation(cfg.n_clients)[:cfg.participants])
+
+    def sl(self, x, fam, cfg):
+        for i in self.order(cfg):
+            x, _ = ss.local_update(x, fam, i, cfg.local_steps, cfg.lr,
+                                   self.streams(cfg, i))
+        return x
+
+    def fl(self, x, fam, cfg):
+        order = self.order(cfg)
+        sizes = getattr(fam, "client_sizes", None)
+        weights = np.array([1.0 if sizes is None else sizes[i] for i in order],
+                           dtype=float)
+        weights /= weights.sum()
+        avg = np.zeros_like(x)
+        for w, i in zip(weights, order):
+            avg += w * ss.local_update(x, fam, i, cfg.local_steps, cfg.lr,
+                                       self.streams(cfg, i))[0]
+        return avg
+
+    def minibatch(self, x, fam, cfg):
+        total = np.zeros_like(x)
+        for i in range(cfg.n_clients):
+            for k in range(cfg.local_steps):
+                total += fam.stochastic_grad(i, x, stream(cfg.seed, STEP, self.R, i, k))
+        return x - cfg.lr * total / (cfg.n_clients * cfg.local_steps)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("algo,participants", [
+        ("sl", None), ("sl", 2), ("fl", None), ("fl", 2), ("minibatch", None)])
+    @pytest.mark.parametrize("seed", [4, 2**64 + 3])
+    def test_round_equals_composed_streams(self, family, algo, participants, seed):
+        fam = self.FAMILIES[family]()
+        cfg = ss.TrainConfig(algorithm=algo, n_clients=3, rounds=4, local_steps=3,
+                             lr=0.05, clients_per_round=participants, seed=seed)
+        x = np.linspace(-0.5, 0.5, fam.dim)
+        want = getattr(self, algo)(x, fam, cfg)
+        rule = {"sl": lambda *a: ss.sl_round(*a)[0], "fl": lambda *a: ss.fl_round(*a)[0],
+                "minibatch": ss.minibatch_round}[algo]
+        for rngs in (None, step_rngs(cfg, self.R, self.R + 1)[0],
+                     step_rngs(cfg, 0, 4)[self.R]):
+            assert rule(x, fam, cfg, self.R, rngs).tobytes() == want.tobytes()
+        assert not np.array_equal(want, rule(x, fam, replace(cfg, seed=seed + 1), self.R))
 
 
 class TestRunTraining:
