@@ -17,8 +17,7 @@ from .objectives import SplitMlp, split_forward_backward
 from .rng import ORDER, STEP, keys, rekeyer, stream
 
 ALGORITHMS = ("sl", "fl", "minibatch")
-# most steps a run keys in one pass, so its key table does not grow with R
-KEY_BLOCK = 2**16
+KEY_BLOCK = 2**16  # most steps keyed in one pass: key memory stays flat in R
 
 
 class Divergence(RuntimeError):
@@ -123,10 +122,9 @@ def local_update(x, objective, client: int, steps: int, lr: float,
                  rngs: Callable[[int], np.random.Generator]):
     """Run ``steps`` sequential stochastic gradient steps on client ``client``.
 
-    ``rngs`` maps the step index to that step's Generator, which is valid
-    only inside that ``stochastic_grad`` call: the engine re-keys one
-    Generator per step. Returns (x_out, visited) where visited[k] is the
-    iterate before step k.
+    ``rngs`` maps the step index to that step's Generator, valid only inside
+    that ``stochastic_grad`` call. Returns (x_out, visited) where visited[k]
+    is the iterate before step k.
 
     Overflow and invalid operations inside a step are silenced: a
     non-finite iterate is the divergence signal, raised as Divergence
@@ -152,8 +150,9 @@ def _round_order(config: TrainConfig, r: int) -> list[int]:
 
 
 def step_rngs(config: TrainConfig, r0: int, r1: int) -> list:
-    """Per round r0 .. r1-1, ``rngs(i, k)``: client i's step-k Generator,
-    one generator (``rng.rekeyer``) re-keyed per step, keys from one pass."""
+    """Per round r0 .. r1-1, ``rngs(i, k)``: client i's step-k Generator, one
+    generator (``rng.rekeyer``) re-keyed per step; a round rule called
+    without ``rngs`` derives its round's the same way."""
     shape = (r1 - r0, config.n_clients, config.local_steps)
     paths = np.indices((1, *shape)).reshape(4, -1).T + [STEP, r0, 0, 0]
     rekey = rekeyer()
@@ -179,8 +178,7 @@ def sl_round(x, objective, config: TrainConfig, r: int, rngs=None):
     Clients in the sampled order each run local_update seeded from the
     previous client's output; the returned iterate interpolates between x
     and the raw relay output with the global learning rate. Drift is the
-    summed squared distance of every visited iterate from x. ``rngs`` is
-    the round's entry of ``step_rngs``, derived here when not given.
+    summed squared distance of every visited iterate from x.
     """
     x = np.asarray(x, dtype=float)
     rngs = rngs or step_rngs(config, r, r + 1)[0]
@@ -234,8 +232,7 @@ def run_training(objective, config: TrainConfig) -> RunTrace:
 
     Divergence (non-finite iterate, or round loss exceeding
     divergence_factor times the initial loss) marks the offending and all
-    later rounds; earlier records stay valid. Step keys are derived for
-    blocks of rounds of at most KEY_BLOCK steps, one generator per block.
+    later rounds; earlier records stay valid.
     """
     d = objective.dim
     x = (np.zeros(d) if config.x0 is None

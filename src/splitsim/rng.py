@@ -70,7 +70,6 @@ def rekeyer():
     gen = np.random.Generator(np.random.Philox(0))
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
     def rekey(key) -> np.random.Generator:
         state["state"]["key"] = key
         gen.bit_generator.state = state
