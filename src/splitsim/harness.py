@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import hashlib
 import inspect
@@ -225,8 +226,20 @@ def _out_dir(spec: ExperimentSpec, cli_out) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _replacing(path: Path, **kwargs):
+    """A text file that replaces ``path`` only once it is written in full."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, config_hash: str, header: list[str], rows):
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         w = csv.writer(fh)
         w.writerow(header)
@@ -234,7 +247,7 @@ def _write_csv(path: Path, config_hash: str, header: list[str], rows):
 
 
 def _write_json(path: Path, config_hash: str, payload: dict):
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump({"config_hash": config_hash, **payload}, fh, indent=2,
                   sort_keys=True)
         fh.write("\n")
@@ -351,6 +364,8 @@ def _levels(spec: ExperimentSpec) -> list[tuple]:
     make = _family(spec)
     param = inspect.signature(make).parameters.get("heterogeneity")
     grid = spec.get("sweep", "heterogeneity_grid", None)
+    if grid is not None and "heterogeneity" in spec.values["objective"]:
+        raise SpecError("[sweep] heterogeneity_grid: replaces [objective] heterogeneity")
     if grid is None:
         g = spec.get("objective", "heterogeneity", getattr(param, "default", 0.0))
         return [(g, build_objective(spec))]

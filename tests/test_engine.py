@@ -160,6 +160,18 @@ class TestMinibatchRound:
         out = ss.minibatch_round(np.zeros(1), pair(), cfg, 0)
         assert out[0] == pytest.approx(0.0)
 
+    def test_divergence_names_the_round(self):
+        class NanGrad:
+            dim, n_clients = 1, 2
+
+            def stochastic_grad(self, client, x, rng):
+                return np.array([np.nan])
+
+        cfg = ss.TrainConfig(algorithm="minibatch", n_clients=2, rounds=9, lr=0.1)
+        with pytest.raises(Divergence) as exc:
+            ss.minibatch_round(np.zeros(1), NanGrad(), cfg, 7)
+        assert exc.value.round_index == 7 and str(exc.value).endswith("of round 7")
+
     def test_update_variance_scales_inverse_nk(self):
         fam = ss.scalar_pair(sigma=1.0)
         x = np.zeros(1)

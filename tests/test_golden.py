@@ -56,7 +56,9 @@ lr = 0.2
 seeds = 0, 1
 """
 
-SWEEP = QUADRATIC.format(algo="sl") + """
+# the heterogeneity grid replaces [objective] heterogeneity, so a sweep
+# config leaves that key out
+SWEEP = QUADRATIC.format(algo="sl").replace("heterogeneity = 1.0\n", "") + """
 [sweep]
 algorithms = sl, fl, minibatch
 grid = 0.01 0.1 0.5 1.2
@@ -147,29 +149,29 @@ GOLDEN = {
     },
     'sweep-quadratic': {
         'sweep_fl_G0.csv':
-            'de0a116ae389513cf8e89fd63f12be87cc91aed64371eb8fc2aaa8cd9c9d5f14',
+            'fcf20d4974f7e5db7f32f627b32cf74a682fb596fa786b59fa468c1f2648f2cf',
         'sweep_fl_G0.json':
-            '44dce7d1300f323774664c798cc968c7a64ba40c8c914d1dc33f0f7819dcbc1e',
+            'a08c470766b977c1ccc15721bb534eaf1a4f9b973e536581cfd0deabaa3df321',
         'sweep_fl_G1.5.csv':
-            'c531ee048a7ec465ae025470958ba7aa608052b02009b5048c6eb8495d3fad3e',
+            '576566519cd848bf8f0914a1a00b2606d7907eb199ddb94b51c818148c8e8ede',
         'sweep_fl_G1.5.json':
-            'ede62f53e78c759992dfc0934102abf507a77c99677a1fa83b6099febca3020d',
+            '9b7fec268842023c5d81a31f0b481325871f0adfd931ada73b319b941a1ebb26',
         'sweep_minibatch_G0.csv':
-            '2e143920de56388855c935fbbc9c19f30ea70b05095dba18580469d6cc0e0efb',
+            'ebcbd14e7486c2ef96c40fcc2dab35bf771c30d1a76ceab59fed705711fd89db',
         'sweep_minibatch_G0.json':
-            'c2d6cafeab6597539433f2932269d09c656892df2dcbfe6d1bfddfc5b265568a',
+            '27456f2db5614285b1687259c254ba4742e27a450ad2f6e7ee6ff63748916b2b',
         'sweep_minibatch_G1.5.csv':
-            '11acf889c6ae7ea92b391064e937c0fda810920c4ec4bdbba21b01ba510d59d4',
+            '0b83dbd0abbb3323b56587fde6c293b296642c33e04b88ba3634173e4c4d20a3',
         'sweep_minibatch_G1.5.json':
-            '803613d5a95e91d858288075d5adc941f03614a96368c3ad6918f084b07e8993',
+            '4dce82b73b58d06afa1e54e03c3160500ee64c2c2a4436b37c3d1157b8d7234f',
         'sweep_sl_G0.csv':
-            '0eb324f172cc37fe4c1427288e1c2cd67804f7f455838e8bdd5123a4c7e31ba0',
+            '135ed988e9dfbb73723574fbd54914de41f47ba7dbf0a88d5cfbc9ae381f5b60',
         'sweep_sl_G0.json':
-            'c75c38dd4d7110caadc986386156399adfb4988115863b483f0816f9a0c8e97c',
+            '9260373dd74e6bdc125386c8707b2298286d4f15357cbf5214e854edf1dbddc6',
         'sweep_sl_G1.5.csv':
-            'f910ff4fbc1509e8f6fe9378f480e1ac62fa67631fcd8b3879fada73a4d0b38a',
+            'bfc2a3997c13bc828c89e8588f0714e600e313ec890753f931fc49daea731f7c',
         'sweep_sl_G1.5.json':
-            '583b2035a919b50e386ea48feecb06269609e453fe979ebbdc940b8d478659a1',
+            '2f91aceb3212725d217654c021a5de3775b653ec536f18a9c5fe90c8b5ed27d4',
     },
 }
 

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import splitsim as ss
+from splitsim import harness
 from splitsim.harness import (SCHEMA, ExperimentSpec, build_objective,
                               build_train_config, main)
 
@@ -170,6 +171,12 @@ REJECTED = {
         "[objective] batch_size"),
     "heterogeneity grid on a logistic family": (
         "sweep", LOGISTIC_INI + "[sweep]\nheterogeneity_grid = 0 1\n",
+        "[sweep] heterogeneity_grid"),
+    "heterogeneity next to the sweep's grid": (
+        "sweep", BASE_INI + "[sweep]\nheterogeneity_grid = 0\n",
+        "[sweep] heterogeneity_grid"),
+    "heterogeneity next to the compare grid": (
+        "compare", BASE_INI + "[sweep]\nheterogeneity_grid = 0 1\n",
         "[sweep] heterogeneity_grid"),
     "no samples": ("run", LOGISTIC_INI.replace("= 5", "= 0"),
                    "[objective] samples_per_client"),
@@ -330,6 +337,28 @@ class TestRun:
         monkeypatch.setenv("SPLITSIM_OUT", str(out))
         assert main(["run", "--config", str(config)]) == 0
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, config,
+                                                  monkeypatch, fmt):
+        """A writer that raises mid-write leaves the earlier file whole and
+        no temporary file, so the manifest still lists the directory."""
+        out = tmp_path / "out"
+        command = ["run", "--config", str(config), "--out", str(out),
+                   "--format", fmt]
+        assert main(command) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def rows_then_fail(trace):
+            yield [0, "0.5", "0.5", "0", 0]
+            raise OSError("interrupted")
+        monkeypatch.setattr(harness, "_trace_rows", rows_then_fail)
+        # json.dump has written the keys before "zz" when it meets the object
+        monkeypatch.setattr(ss.RunTrace, "summary", lambda self: {"zz": object()})
+        assert main(command) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["files"]) == sorted(before)
 
     def test_unwritable_out_is_runtime_failure(self, tmp_path, config):
         blocker = tmp_path / "file"
