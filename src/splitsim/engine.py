@@ -250,8 +250,11 @@ def run_training(objective, config: TrainConfig) -> RunTrace:
     diverged_at = None
     init_loss = None
 
-    per_round_steps = config.local_steps * (
-        config.n_clients if config.algorithm == "minibatch" else config.participants)
+    per_round_steps = {
+        "sl": config.participants * config.local_steps,
+        "fl": config.participants * config.local_steps,
+        "minibatch": config.n_clients * config.local_steps,
+    }[config.algorithm]
 
     per_block = max(1, KEY_BLOCK // (config.n_clients * config.local_steps))
     for r in range(R):
@@ -286,10 +289,12 @@ def run_training(objective, config: TrainConfig) -> RunTrace:
 
     valid = ~np.isnan(iterates).any(axis=1)
     avg_x = iterates[valid].mean(axis=0) if valid.any() else np.full(d, np.nan)
-    avg_grad = final_grad = float("nan")
     if diverged_at is None:
         avg_grad = float(np.sum(obj.global_grad(objective, avg_x) ** 2))
         final_grad = float(np.sum(obj.global_grad(objective, x) ** 2))
+    else:
+        avg_grad = float("nan")
+        final_grad = float("nan")
 
     return RunTrace(loss=loss, grad_norm_sq=gnorm, drift=drift, steps=steps,
                     diverged=diverged, iterates=iterates, final_x=x, avg_x=avg_x,
