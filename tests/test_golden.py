@@ -178,18 +178,18 @@ GOLDEN = {
 
 
 # ---------------------------------------------------------------------------
-# in-process runs: a split MLP with a minibatch, logistic clients of
-# unequal size (which FedAvg weights by sample count), and noisy runs at
-# seeds the CLI configs do not reach
+# in-process runs: a split MLP with a minibatch and with the full batch,
+# logistic clients of unequal size (which FedAvg weights by sample count),
+# and noisy runs at seeds the CLI configs do not reach
 
 
-def mlp_objective():
+def mlp_objective(batch_size=4):
     g = stream(11, 0)
     template = objectives.SplitMlp(3, 4, 2)
     datasets = [(g.normal(size=(10, 3)), g.normal(size=(10, 2)))
                 for _ in range(3)]
     x0 = objectives.SplitMlp.random(3, 4, 2, g, scale=0.5).params
-    return objectives.MlpObjective(template, datasets, batch_size=4), x0
+    return objectives.MlpObjective(template, datasets, batch_size=batch_size), x0
 
 
 def unequal_logistic(batch_size):
@@ -215,6 +215,8 @@ ALL = ("sl", "fl", "minibatch")
 # name: (makes the objective and x0, algorithms, rounds, local steps, lr, seeds)
 TRAIN_CASES = {
     "train-mlp": (mlp_objective, ("sl", "fl"), 6, 3, 0.1, (0, 1)),
+    "train-mlp-fullbatch": (lambda: mlp_objective(0), ALL, 6, 3, 0.1, (0, 1)),
+    "train-mlp-minibatch": (mlp_objective, ("minibatch",), 6, 3, 0.1, (0, 1)),
     "train-logistic-unequal-minibatch": (lambda: unequal_logistic(4),
                                          ALL, 8, 3, 0.3, (0, 1)),
     "train-logistic-unequal-fullbatch": (lambda: unequal_logistic(64),
@@ -234,6 +236,10 @@ TRAIN_GOLDEN = {
         'b2f038be857d28b4d409be69c4c5bd142b49f70eacc152f6d0758e558378e8f6',
     'train-mlp':
         'fad6de821efca2e19d7665fda96b9c1aaae000e1e2ba2b5924be4ef83b08b26a',
+    'train-mlp-fullbatch':
+        '60a9530fd2c04c072249b0ec566a62e0f8db4538ac9ea013e659d1fb671b52d7',
+    'train-mlp-minibatch':
+        'f16a717a11f7a67161c282d7dbee5df084d3c96b921bee91c99932931a0089ce',
     'train-quadratic-noisy-large-seed':
         'ba290eed5edf2d2d00e57a6f31d7b56df6ea95470b9d7e029aa47c7aa2c42ab6',
 }
