@@ -2,9 +2,11 @@
 
 A tiny MLP is split at its hidden layer: the client owns the input-side
 weights, the server owns the output-side head. Training exchanges four
-messages per step (activations up, loss + activation-gradients down), and
-the resulting parameter trajectory is identical -- to floating-point
-round-off -- to ordinary SGD on the concatenated parameter vector.
+messages per step (activations up, loss + activation-gradients down):
+``local_update`` on an ``MlpObjective``, the step every engine round rule
+takes, runs them on each step. The resulting parameter trajectory is
+identical -- to floating-point round-off -- to ordinary SGD on the
+concatenated parameter vector through the monolithic oracle.
 """
 
 import numpy as np
@@ -29,8 +31,10 @@ both = np.concatenate([cgrad, sgrad])
 print(f"\nmonolithic oracle: loss={mono_loss:.6f}, "
       f"max grad deviation {np.max(np.abs(both - mono_grad)):.2e}")
 
-updated = ss.split_local_update(model, data, steps=10, lr=0.05)
 objective = ss.MlpObjective(model, [data])
-mono, _ = ss.local_update(model.params, objective, 0, 10, 0.05, lambda k: rng)
+split, _ = ss.local_update(model.params, objective, 0, 10, 0.05, lambda k: rng)
+mono = model.params
+for _ in range(10):
+    mono = mono - 0.05 * ss.monolithic_loss_grad(model, data, mono)[1]
 print(f"after 10 SGD steps, split vs monolithic parameter deviation: "
-      f"{np.max(np.abs(updated.params - mono)):.2e}")
+      f"{np.max(np.abs(split - mono)):.2e}")

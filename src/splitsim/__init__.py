@@ -8,7 +8,7 @@ bounds on objectives whose constants are analytic.
 from .harness import (ExperimentSpec, SpecError, cmd_bounds, cmd_compare,
                       cmd_partition, cmd_run, cmd_sweep)
 from .engine import (Divergence, RunTrace, TrainConfig, fl_round, local_update,
-                     minibatch_round, run_training, sl_round, split_local_update)
+                     minibatch_round, run_training, sl_round)
 from .metrics import (DEFAULT_LR_GRID, SweepResult, check_drift_lemma,
                       fit_rate_exponent, lr_sweep, rounds_to_epsilon)
 from .objectives import (HeterogeneityConstants, LogisticClient, LogisticFamily,

@@ -13,7 +13,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import objectives as obj
-from .objectives import SplitMlp, split_forward_backward
 from .rng import ORDER, STEP, keys, rekeyer, stream
 
 ALGORITHMS = ("sl", "fl", "minibatch")
@@ -217,11 +216,12 @@ def minibatch_round(x, objective, config: TrainConfig, r: int, rngs=None):
     rngs = rngs or step_rngs(config, r, r + 1)[0]
     total = np.zeros_like(x)
     count = 0
-    for i in range(config.n_clients):
-        for k in range(config.local_steps):
-            total += objective.stochastic_grad(i, x, rngs(i, k))
-            count += 1
-    nxt = x - config.lr * total / count
+    with np.errstate(over="ignore", invalid="ignore"):  # as in local_update
+        for i in range(config.n_clients):
+            for k in range(config.local_steps):
+                total += objective.stochastic_grad(i, x, rngs(i, k))
+                count += 1
+        nxt = x - config.lr * total / count
     if not np.isfinite(nxt).all():
         raise Divergence(x, 0, r)
     return nxt
@@ -250,75 +250,51 @@ def run_training(objective, config: TrainConfig) -> RunTrace:
     diverged_at = None
     init_loss = None
 
-    per_round_steps = {
-        "sl": config.participants * config.local_steps,
-        "fl": config.participants * config.local_steps,
-        "minibatch": config.n_clients * config.local_steps,
-    }[config.algorithm]
-
     per_block = max(1, KEY_BLOCK // (config.n_clients * config.local_steps))
-    for r in range(R):
-        if r % per_block == 0:
-            block = step_rngs(config, r, min(R, r + per_block))
-        iterates[r] = x
-        loss[r], grad = obj.global_loss_grad(objective, x)
-        gnorm[r] = float(np.sum(grad ** 2))
-        if init_loss is None:
-            init_loss = loss[r]
-        # loss-blowup check is meaningless from an exact optimum (init loss 0)
-        blowup = (init_loss > 0
-                  and loss[r] > config.divergence_factor * init_loss)
-        if not np.isfinite(loss[r]) or blowup:
-            diverged_at = r
-            diverged[r:] = True
-            break
-        try:
-            rngs = block[r % per_block]
-            if config.algorithm == "sl":
-                x, drift[r], _ = sl_round(x, objective, config, r, rngs)
-            elif config.algorithm == "fl":
-                x, drift[r] = fl_round(x, objective, config, r, rngs)
-            else:
-                x = minibatch_round(x, objective, config, r, rngs)
-            steps[r] = per_round_steps
-        except Divergence as d_exc:
-            diverged_at = r
-            diverged[r:] = True
-            x = d_exc.last_finite
-            break
+    # overflow is silenced as in local_update: a non-finite loss or iterate
+    # is the divergence signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(R):
+            if r % per_block == 0:
+                block = step_rngs(config, r, min(R, r + per_block))
+            iterates[r] = x
+            loss[r], grad = obj.global_loss_grad(objective, x)
+            gnorm[r] = float(np.sum(grad ** 2))
+            if init_loss is None:
+                init_loss = loss[r]
+            # loss-blowup check is meaningless from an exact optimum (init loss 0)
+            blowup = (init_loss > 0
+                      and loss[r] > config.divergence_factor * init_loss)
+            if not np.isfinite(loss[r]) or blowup:
+                diverged_at = r
+                diverged[r:] = True
+                break
+            try:
+                rngs = block[r % per_block]
+                if config.algorithm == "sl":
+                    x, drift[r], _ = sl_round(x, objective, config, r, rngs)
+                elif config.algorithm == "fl":
+                    x, drift[r] = fl_round(x, objective, config, r, rngs)
+                else:
+                    x = minibatch_round(x, objective, config, r, rngs)
+                steps[r] = config.participants * config.local_steps
+            except Divergence as d_exc:
+                diverged_at = r
+                diverged[r:] = True
+                x = d_exc.last_finite
+                break
 
-    valid = ~np.isnan(iterates).any(axis=1)
-    avg_x = iterates[valid].mean(axis=0) if valid.any() else np.full(d, np.nan)
-    if diverged_at is None:
-        avg_grad = float(np.sum(obj.global_grad(objective, avg_x) ** 2))
-        final_grad = float(np.sum(obj.global_grad(objective, x) ** 2))
-    else:
-        avg_grad = float("nan")
-        final_grad = float("nan")
+        valid = ~np.isnan(iterates).any(axis=1)
+        avg_x = iterates[valid].mean(axis=0) if valid.any() else np.full(d, np.nan)
+        if diverged_at is None:
+            avg_grad = float(np.sum(obj.global_grad(objective, avg_x) ** 2))
+            final_grad = float(np.sum(obj.global_grad(objective, x) ** 2))
+        else:
+            avg_grad = float("nan")
+            final_grad = float("nan")
 
     return RunTrace(loss=loss, grad_norm_sq=gnorm, drift=drift, steps=steps,
                     diverged=diverged, iterates=iterates, final_x=x, avg_x=avg_x,
                     avg_grad_norm_sq=avg_grad, final_grad_norm_sq=final_grad,
                     diverged_at=diverged_at)
 
-
-def split_local_update(model: SplitMlp, data, steps: int, lr: float) -> SplitMlp:
-    """K split-protocol SGD steps stepping both sides with the same rate.
-
-    The sequence of full-model iterates equals local_update run on the
-    concatenated monolithic model, because the split backward computes the
-    same chain rule in two stages.
-    """
-    feats, targets = data
-    feats = np.atleast_2d(np.asarray(feats, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    cur = model.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            _, cgrad, sgrad, _ = split_forward_backward(cur, (feats, targets))
-            client = cur.client_params - lr * cgrad
-            server = cur.server_params - lr * sgrad
-            if not (np.isfinite(client).all() and np.isfinite(server).all()):
-                raise Divergence(cur.params, k)
-            cur.client_params, cur.server_params = client, server
-    return cur

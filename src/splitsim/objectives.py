@@ -285,17 +285,15 @@ class SplitMlp:
         return SplitMlp(self.in_dim, self.cut_width, self.out_dim,
                         flat[: self.n_client], flat[self.n_client:])
 
-    def copy(self) -> "SplitMlp":
-        return self.with_params(self.params)
 
-
-def split_forward_backward(model: SplitMlp, batch):
+def split_forward_backward(model: SplitMlp, batch, params=None):
     """Run the four-message split protocol on one batch.
 
     Messages: (1) client forward to cut activations, (2) server forward to
     the loss, (3) server backward returning the activation gradient plus the
     server-side parameter gradient, (4) client backward to the client-side
     parameter gradient. Returns (loss, client_grad, server_grad, activations).
+    ``params`` is as in ``monolithic_loss_grad``.
     """
     inputs, targets = batch
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -306,16 +304,17 @@ def split_forward_backward(model: SplitMlp, batch):
         raise ProtocolError(
             f"input width {inputs.shape[1]} does not match model in_dim {model.in_dim}")
     n = inputs.shape[0]
+    flat = model.params if params is None else params
 
     # message 1: client forward
-    w1, b1 = model._client_shapes(model.client_params)
+    w1, b1 = model._client_shapes(flat[: model.n_client])
     pre = inputs @ w1.T + b1
     activations = np.tanh(pre)
     if activations.shape[1] != model.cut_width:
         raise ProtocolError("cut-width mismatch between client and server")
 
     # message 2: server forward
-    w2, b2 = model._server_shapes(model.server_params)
+    w2, b2 = model._server_shapes(flat[model.n_client:])
     out = activations @ w2.T + b2
     resid = out - targets
     loss = 0.5 * float(np.sum(resid**2)) / n
@@ -365,8 +364,11 @@ def monolithic_loss_grad(model: SplitMlp, batch, params=None):
 class MlpObjective:
     """Single- or multi-client objective over a shared SplitMlp architecture.
 
-    Parameters are the flat monolithic vector; gradients use the one-pass
-    monolithic backprop, independent of the split protocol.
+    Parameters are the flat monolithic vector [client; server]. Every
+    training step (``stochastic_grad``) runs the four-message split
+    protocol; the exact full-data oracle (``local_loss_grad``) uses the
+    one-pass monolithic backprop, so the two are independent computations
+    of the same gradient.
     """
 
     def __init__(self, template: SplitMlp, datasets: Sequence[tuple], batch_size: int = 0):
@@ -397,8 +399,9 @@ class MlpObjective:
         if self.batch_size and self.batch_size < n:
             idx = rng.choice(n, size=self.batch_size, replace=False)
             feats, targets = feats[idx], targets[idx]
-        return monolithic_loss_grad(self.template, (feats, targets),
-                                    _as_param(x, self.dim))[1]
+        _, client_grad, server_grad, _ = split_forward_backward(
+            self.template, (feats, targets), _as_param(x, self.dim))
+        return np.concatenate([client_grad, server_grad])
 
 
 # ---------------------------------------------------------------------------

@@ -140,11 +140,12 @@ def test_05_split_protocol_equivalence():
         lr = float(rng.uniform(0.005, 0.05))
         model = ss.SplitMlp.random(din, hidden, dout, rng)
         data = (rng.normal(size=(batch, din)), rng.normal(size=(batch, dout)))
-        updated = ss.split_local_update(model, data, steps, lr)
-        objective = ss.MlpObjective(model, [data])
-        mono, _ = ss.local_update(model.params, objective, 0, steps, lr,
-                                  lambda k: rng)
-        ok &= bool(np.allclose(updated.params, mono, rtol=1e-12, atol=1e-14))
+        split, _ = ss.local_update(model.params, ss.MlpObjective(model, [data]),
+                                   0, steps, lr, lambda k: rng)
+        mono = model.params
+        for _ in range(steps):
+            mono = mono - lr * ss.monolithic_loss_grad(model, data, mono)[1]
+        ok &= bool(np.allclose(split, mono, rtol=1e-12, atol=1e-14))
     _report(5, "split protocol matches monolithic", ok)
 
 

@@ -172,6 +172,14 @@ class TestMinibatchRound:
             ss.minibatch_round(np.zeros(1), NanGrad(), cfg, 7)
         assert exc.value.round_index == 7 and str(exc.value).endswith("of round 7")
 
+    def test_overflow_is_a_silent_divergence(self):
+        cfg = ss.TrainConfig(algorithm="minibatch", n_clients=2, rounds=9, lr=1e200)
+        x = np.zeros(1)
+        with pytest.raises(Divergence) as exc:
+            ss.minibatch_round(x, steep_pair(), cfg, 4)
+        assert exc.value.last_finite is x
+        assert (exc.value.step, exc.value.round_index) == (0, 4)
+
     def test_update_variance_scales_inverse_nk(self):
         fam = ss.scalar_pair(sigma=1.0)
         x = np.zeros(1)
@@ -336,12 +344,28 @@ class TestRunTraining:
             assert (getattr(short, name).tobytes()
                     == getattr(long, name)[:50].tobytes()), name
 
+    @pytest.mark.parametrize("algo", ["sl", "fl", "minibatch"])
+    def test_overflow_is_a_silent_divergence(self, algo):
+        """Overflow in a step or in the global loss and gradient marks the
+        run diverged at round 0 without a RuntimeWarning."""
+        steep = ss.run_training(steep_pair(), ss.TrainConfig(
+            algorithm=algo, n_clients=2, lr=1e200))
+        far = ss.run_training(pair(), ss.TrainConfig(
+            algorithm=algo, n_clients=2, x0=[1e160]))
+        assert steep.diverged_at == far.diverged_at == 0
+        assert far.final_x[0] == 1e160
+
     def test_step_accounting(self):
         for algo in ("sl", "fl", "minibatch"):
             cfg = ss.TrainConfig(algorithm=algo, n_clients=3, rounds=4, local_steps=2,
                                  lr=0.01)
             trace = ss.run_training(pair_3(), cfg)
             assert (trace.steps == 6).all()
+
+
+def steep_pair():
+    """Two equal clients of curvature 1e200: a step at lr 1e200 overflows."""
+    return ss.QuadraticFamily([ss.QuadraticClient(1e200, [1.0])] * 2)
 
 
 def pair_3():
@@ -352,33 +376,40 @@ def pair_3():
     ])
 
 
-class TestSplitLocalUpdate:
+def monolithic_sgd(model, data, steps, lr):
+    """Full-batch SGD on the monolithic oracle: the protocol's reference."""
+    x = model.params
+    for _ in range(steps):
+        x = x - lr * ss.monolithic_loss_grad(model, data, x)[1]
+    return x
+
+
+def split_sgd(model, data, steps, lr):
+    """local_update on an MlpObjective: each step runs the split protocol."""
+    return ss.local_update(model.params, ss.MlpObjective(model, [data]), 0,
+                           steps, lr, shared(stream(0, 1)))[0]
+
+
+class TestMlpLocalUpdate:
     def test_matches_monolithic_single_step(self):
         rng = stream(13, 9)
         model = ss.SplitMlp.random(2, 3, 1, rng)
         data = (rng.normal(size=(5, 2)), rng.normal(size=(5, 1)))
-        updated = ss.split_local_update(model, data, 1, 0.05)
-        objective = ss.MlpObjective(model, [data])
-        mono, _ = ss.local_update(model.params, objective, 0, 1, 0.05,
-                                  shared(stream(13, 1)))
-        np.testing.assert_allclose(updated.params, mono, rtol=1e-12)
+        np.testing.assert_allclose(split_sgd(model, data, 1, 0.05),
+                                   monolithic_sgd(model, data, 1, 0.05), rtol=1e-12)
 
     def test_matches_monolithic_many_steps(self):
         rng = stream(14, 9)
         model = ss.SplitMlp.random(3, 2, 2, rng)
         data = (rng.normal(size=(8, 3)), rng.normal(size=(8, 2)))
-        updated = ss.split_local_update(model, data, 7, 0.02)
-        objective = ss.MlpObjective(model, [data])
-        mono, _ = ss.local_update(model.params, objective, 0, 7, 0.02,
-                                  shared(stream(14, 1)))
-        np.testing.assert_allclose(updated.params, mono, rtol=1e-12)
+        np.testing.assert_allclose(split_sgd(model, data, 7, 0.02),
+                                   monolithic_sgd(model, data, 7, 0.02), rtol=1e-12)
 
     def test_zero_lr_unchanged(self):
         rng = stream(15, 9)
         model = ss.SplitMlp.random(2, 2, 1, rng)
         data = (rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
-        updated = ss.split_local_update(model, data, 3, 0.0)
-        np.testing.assert_array_equal(updated.params, model.params)
+        np.testing.assert_array_equal(split_sgd(model, data, 3, 0.0), model.params)
 
     def test_divergence_carries_last_finite(self):
         rng = stream(16, 9)
@@ -387,8 +418,30 @@ class TestSplitLocalUpdate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # overflow stays silent
             with pytest.raises(Divergence) as exc:
-                ss.split_local_update(model, data, 5, 1e200)
+                split_sgd(model, data, 5, 1e200)
         assert np.all(np.isfinite(exc.value.last_finite))
+
+    @pytest.mark.parametrize("algo", ["sl", "fl", "minibatch"])
+    def test_every_step_runs_the_protocol(self, algo, monkeypatch):
+        """Each counted step is one split_forward_backward call; the
+        monolithic oracle makes only the R*N + 2N full-data passes."""
+        rng = stream(17, 9)
+        model = ss.SplitMlp.random(2, 3, 2, rng)
+        data = [(rng.normal(size=(6, 2)), rng.normal(size=(6, 2))) for _ in range(3)]
+        fam = ss.MlpObjective(model, data, batch_size=4)
+        calls = {"split_forward_backward": 0, "monolithic_loss_grad": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(ss.objectives, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(ss.objectives, name, counted)
+        rounds, n = 5, fam.n_clients
+        trace = ss.run_training(fam, ss.TrainConfig(
+            algorithm=algo, n_clients=n, rounds=rounds, local_steps=2, lr=0.05,
+            clients_per_round=None if algo == "minibatch" else 2, x0=model.params))
+        assert trace.diverged_at is None
+        assert calls == {"split_forward_backward": trace.steps.sum(),
+                         "monolithic_loss_grad": rounds * n + 2 * n}
 
 
 class TestConfigValidation:

@@ -151,6 +151,11 @@ class TestFusedOracles:
             loss, grad = ss.monolithic_loss_grad(model, fam.datasets[i])
             assert same_bits(loss, fam.local_loss(i, x))
             assert same_bits(grad, fam.local_grad(i, x))
+            # the full-batch step runs the protocol on views of x
+            _, client_grad, server_grad, _ = ss.split_forward_backward(
+                model, fam.datasets[i])
+            assert same_bits(np.concatenate([client_grad, server_grad]),
+                             fam.stochastic_grad(i, x, stream(0, 1)))
 
 
 def masked_sigmoid(z):
