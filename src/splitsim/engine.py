@@ -59,6 +59,8 @@ class TrainConfig:
             raise ValueError("order_policy must be 'random' or 'fixed'")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.x0 is not None and not np.isfinite(self.x0).all():
+            raise ValueError("x0 must be finite")
         if not self.divergence_factor >= 1:  # nan included
             raise ValueError("divergence_factor must be >= 1")
         if self.algorithm == "minibatch":

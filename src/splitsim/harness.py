@@ -339,21 +339,24 @@ def cmd_bounds(spec: ExperimentSpec, out_dir=None) -> int:
         constants=constants, n_clients=config.n_clients,
         local_steps=config.local_steps, rounds=config.rounds, eta=config.lr,
         eta_g=config.global_lr, init_gap=init_gap))
-    sl = sl_bound(inputs)
-    fl = fl_bound(inputs)
+    try:
+        payload = {
+            "constants": {"L": constants.L, "sigma2": constants.sigma2,
+                          "B": constants.B, "G": constants.G},
+            "init_gap": init_gap,
+            "lr": config.lr,
+            "lr_max_sl": max_lr_sl(constants, config.n_clients, config.local_steps),
+            "lr_max_fl": max_lr_fl(constants, config.local_steps, config.global_lr),
+            "sl": sl_bound(inputs).to_dict(),
+            "fl": fl_bound(inputs).to_dict(),
+            "one_client": one_client_bound(inputs),
+        }
+        json.dumps(payload, allow_nan=False)  # raises on inf and nan
+    except (OverflowError, ValueError) as e:
+        raise SpecError(f"[train] bounds: not finite at this lr and x0 ({e})") from e
     out = _out_dir(spec, out_dir)
     path = out / "bounds.json"
-    _write_json(path, spec.config_hash(), {
-        "constants": {"L": constants.L, "sigma2": constants.sigma2,
-                      "B": constants.B, "G": constants.G},
-        "init_gap": init_gap,
-        "lr": config.lr,
-        "lr_max_sl": max_lr_sl(constants, config.n_clients, config.local_steps),
-        "lr_max_fl": max_lr_fl(constants, config.local_steps, config.global_lr),
-        "sl": json.loads(sl.to_json()),
-        "fl": json.loads(fl.to_json()),
-        "one_client": one_client_bound(inputs),
-    })
+    _write_json(path, spec.config_hash(), payload)
     write_manifest(out, spec, [path])
     return 0
 

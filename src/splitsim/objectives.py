@@ -46,10 +46,12 @@ class HeterogeneityConstants:
 
 @dataclass(frozen=True)
 class QuadraticClient:
-    """Client objective f_i(x) = 0.5 (x-c_i)' A_i (x-c_i).
+    """Client objective f_i(x) = 0.5 (x-c_i)' diag(a_i) (x-c_i).
 
-    ``curvature`` may be a full symmetric PSD matrix, a diagonal vector or a
-    scalar. Stochastic gradients add isotropic Gaussian noise of total power
+    Constructor input to ``QuadraticFamily`` only. ``curvature`` a_i is a
+    diagonal vector or a scalar, broadcast to the shape of the center c_i;
+    it must be finite and nonnegative, and c_i and noise_sigma finite.
+    Stochastic gradients add isotropic Gaussian noise of total power
     noise_sigma**2, so the bounded-variance assumption holds by construction.
     """
 
@@ -59,55 +61,41 @@ class QuadraticClient:
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        curv = np.asarray(self.curvature, dtype=float)
-        if curv.ndim == 0:
-            curv = np.full(center.shape, float(curv))
-        if curv.ndim == 2 and not np.allclose(curv, curv.T):
-            raise ValueError("curvature matrix must be symmetric")
+        if not np.isfinite(center).all():
+            raise ValueError("center must be finite")
+        # a (d, d) matrix or a vector of another length raises ValueError here
+        curv = np.broadcast_to(np.asarray(self.curvature, dtype=float),
+                               center.shape).copy()
+        if not ((0 <= curv) & (curv < np.inf)).all():
+            raise ValueError("curvature must be finite and nonnegative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "curvature", curv)
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        if self.curvature.ndim == 2:
-            return self.curvature @ v
-        return self.curvature * v
-
-    def loss_grad(self, x: np.ndarray):
-        d = x - self.center
-        grad = self._apply(d)
-        return 0.5 * float(d @ grad), grad
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(x - self.center)
-
-    def lmax(self) -> float:
-        if self.curvature.ndim == 2:
-            return float(np.linalg.eigvalsh(self.curvature)[-1])
-        return float(np.max(self.curvature))
 
 
 class QuadraticFamily:
-    """A collection of quadratic clients sharing one parameter space."""
+    """Quadratic clients stacked as arrays, row i being client i: ``centers``
+    and diagonal ``curvature`` (N, d), noise levels ``sigma`` (N,)."""
 
     def __init__(self, clients: Sequence[QuadraticClient]):
         if not clients:
             raise ValueError("family needs at least one client")
-        dims = {c.dim for c in clients}
-        if len(dims) != 1:
+        if len({c.center.shape for c in clients}) != 1:
             raise ValueError("all clients must share one dimension")
-        self.clients = tuple(clients)
-        self.dim = clients[0].dim
-        self.n_clients = len(clients)
+        self.centers = np.array([c.center for c in clients])
+        self.curvature = np.array([c.curvature for c in clients])
+        self.sigma = np.array([c.noise_sigma for c in clients], dtype=float)
+        self.n_clients, self.dim = self.centers.shape
         self.client_sizes = None  # uniform weights
+        # per-client (curvature, center, sigma) views: a step indexes no 2-D array
+        self._rows = tuple(zip(self.curvature, self.centers, self.sigma.tolist()))
 
     def local_loss_grad(self, client: int, x):
-        return self.clients[client].loss_grad(_as_param(x, self.dim))
+        curv, center, _ = self._rows[client]
+        d = _as_param(x, self.dim) - center
+        grad = curv * d
+        return 0.5 * float(d @ grad), grad
 
     def local_loss(self, client: int, x) -> float:
         return self.local_loss_grad(client, x)[0]
@@ -116,32 +104,24 @@ class QuadraticFamily:
         return self.local_loss_grad(client, x)[1]
 
     def stochastic_grad(self, client: int, x, rng: np.random.Generator) -> np.ndarray:
-        c = self.clients[client]
-        g = c.grad(_as_param(x, self.dim))
-        if c.noise_sigma == 0.0:
+        curv, center, sigma = self._rows[client]
+        g = curv * (_as_param(x, self.dim) - center)
+        if sigma == 0.0:
             return g
         # isotropic noise with E||eps||^2 = sigma^2
-        scale = c.noise_sigma / np.sqrt(self.dim)
-        return g + rng.normal(0.0, scale, size=self.dim)
+        return g + rng.normal(0.0, sigma / np.sqrt(self.dim), size=self.dim)
 
     def shares_curvature(self) -> bool:
-        first = self.clients[0].curvature
-        return all(
-            c.curvature.shape == first.shape and np.array_equal(c.curvature, first)
-            for c in self.clients[1:]
-        )
+        return bool((self.curvature == self.curvature[0]).all())
 
     def optimum(self) -> np.ndarray:
-        """Minimizer of the global objective (shared curvature: mean center)."""
+        """Minimizer of the global objective: the curvature-weighted mean center
+        (the plain mean under shared curvature or where no client curves)."""
         if self.shares_curvature():
-            return np.mean([c.center for c in self.clients], axis=0)
-        # general PSD case: solve (mean A_i) x = mean A_i c_i
-        mats, rhs = [], np.zeros(self.dim)
-        for c in self.clients:
-            a = c.curvature if c.curvature.ndim == 2 else np.diag(c.curvature)
-            mats.append(a)
-            rhs += a @ c.center
-        return np.linalg.solve(np.mean(mats, axis=0) * self.n_clients, rhs)
+            return self.centers.mean(axis=0)
+        total = self.curvature.sum(axis=0)
+        return np.divide((self.curvature * self.centers).sum(axis=0), total,
+                         out=self.centers.mean(axis=0), where=total > 0)
 
     def min_loss(self) -> float:
         return global_loss(self, self.optimum())
@@ -186,8 +166,8 @@ class LogisticFamily:
         dims = {c.features.shape[1] for c in clients}
         if len(dims) != 1:
             raise ValueError("all clients must share one feature dimension")
-        if regularization < 0:
-            raise ValueError("regularization must be nonnegative")
+        if not 0 <= regularization < np.inf:
+            raise ValueError("regularization must be finite and nonnegative")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.clients = tuple(clients)
@@ -230,7 +210,8 @@ class LogisticFamily:
 
 
 class ProtocolError(ValueError):
-    """Raised when the split protocol is violated (e.g. cut-width mismatch)."""
+    """Raised when a model or batch cannot run the split protocol: a cut
+    width below one, an empty batch or an input width other than in_dim."""
 
 
 class SplitMlp:
@@ -310,8 +291,6 @@ def split_forward_backward(model: SplitMlp, batch, params=None):
     w1, b1 = model._client_shapes(flat[: model.n_client])
     pre = inputs @ w1.T + b1
     activations = np.tanh(pre)
-    if activations.shape[1] != model.cut_width:
-        raise ProtocolError("cut-width mismatch between client and server")
 
     # message 2: server forward
     w2, b2 = model._server_shapes(flat[model.n_client:])
@@ -439,11 +418,11 @@ def analytic_constants(objective: QuadraticFamily) -> HeterogeneityConstants:
         raise TypeError("analytic constants are only available for quadratic families")
     if not objective.shares_curvature():
         raise ValueError("clients have differing curvatures")
-    lmax = objective.clients[0].lmax()
-    sigma2 = max(c.noise_sigma**2 for c in objective.clients)
-    centers = np.array([c.center for c in objective.clients])
+    lmax = float(np.max(objective.curvature[0]))
+    sigma2 = float(np.max(objective.sigma))**2
+    centers = objective.centers
     spread = float(np.mean(np.sum((centers - centers.mean(axis=0))**2, axis=1)))
-    return HeterogeneityConstants(L=lmax, sigma2=float(sigma2), B=1.0,
+    return HeterogeneityConstants(L=lmax, sigma2=sigma2, B=1.0,
                                   G=float(lmax * np.sqrt(spread)))
 
 
@@ -464,6 +443,12 @@ def quadratic_family(n_clients: int, dim: int = 1, curvature: float = 1.0,
 
     if n_clients < 1:
         raise ValueError("family needs at least one client")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if not 0 <= heterogeneity < np.inf:
+        raise ValueError("heterogeneity must be finite and nonnegative")
+    if heterogeneity > 0 and not curvature > 0:
+        raise ValueError("curvature must be positive when heterogeneity > 0")
     if heterogeneity == 0.0 or n_clients == 1:
         centers = np.zeros((n_clients, dim))
     else:
@@ -500,6 +485,10 @@ def logistic_family(n_clients: int, dim: int, samples_per_client: int,
 
     if samples_per_client < 1:
         raise ValueError("samples_per_client must be >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if not np.isfinite(label_skew):
+        raise ValueError("label_skew must be finite")
     g = stream(seed, 5)
     clients = []
     for i in range(n_clients):

@@ -43,16 +43,6 @@ class Partition:
             "assignments": [list(map(int, a)) for a in self.assignments],
         })
 
-    @classmethod
-    def from_json(cls, text: str, labels=None) -> "Partition":
-        data = json.loads(text)
-        assignments = tuple(tuple(a) for a in data["assignments"])
-        if labels is not None:
-            counts = _class_counts(assignments, np.asarray(labels))
-        else:
-            counts = tuple({} for _ in assignments)
-        return cls(assignments, counts, data["seed"], data["mechanism"], data["params"])
-
 
 def _class_counts(assignments, labels) -> tuple:
     out = []

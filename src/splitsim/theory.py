@@ -7,7 +7,6 @@ are meant for ratio/ordering comparisons only, never as tight numbers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -49,15 +48,10 @@ class BoundReport:
     def total(self) -> float:
         return self.t1_init + self.t2_drift + self.t3_variance
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "t1_init": self.t1_init,
-            "t2_drift": self.t2_drift,
-            "t3_variance": self.t3_variance,
-            "total": self.total,
-            "lr_ok": self.lr_ok,
-            "lr_max": self.lr_max,
-        })
+    def to_dict(self) -> dict:
+        return {"t1_init": self.t1_init, "t2_drift": self.t2_drift,
+                "t3_variance": self.t3_variance, "total": self.total,
+                "lr_ok": self.lr_ok, "lr_max": self.lr_max}
 
 
 def max_lr_sl(constants: HeterogeneityConstants, n_clients: int, local_steps: int) -> float:

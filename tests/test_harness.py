@@ -79,6 +79,16 @@ class TestAcceptedConfigs:
                          "--out", str(tmp_path / algo)]) == 0
 
 
+class TestBenchmarkNames:
+    def test_every_traced_name_exists(self, monkeypatch):
+        # the benchmark's traced run wraps these names where its callers
+        # look them up; a name that is gone drops its metrics from the result
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        layers = importlib.import_module("layers")
+        with importlib.import_module("tracer").Tracer(layers.targets()) as tracer:
+            assert tracer.missing == []
+
+
 class TestSpec:
     def test_ini_and_json_equivalent(self, tmp_path, config):
         spec = ExperimentSpec.load(config)
@@ -200,6 +210,53 @@ REJECTED = {
         "run", BASE_INI.replace("x0 = 1.0, -1.0", "x0 = 1.0"), "[train] x0"),
     "zero lr in bounds": ("bounds", BASE_INI.replace("lr = 0.01", "lr = 0"),
                           "[train] learning rates"),
+    "zero dim": ("run", BASE_INI.replace("dim = 2", "dim = 0"),
+                 "[objective] dim"),
+    "negative heterogeneity": (
+        "run", BASE_INI.replace("heterogeneity = 1.0", "heterogeneity = -1"),
+        "[objective] heterogeneity"),
+    "nan heterogeneity": (
+        "run", BASE_INI.replace("heterogeneity = 1.0", "heterogeneity = nan"),
+        "[objective] heterogeneity"),
+    "inf heterogeneity": (
+        "bounds", BASE_INI.replace("heterogeneity = 1.0", "heterogeneity = inf"),
+        "[objective] heterogeneity"),
+    "zero curvature with heterogeneity": (
+        "run", BASE_INI.replace("curvature = 2.0", "curvature = 0"),
+        "[objective] curvature"),
+    "negative curvature": (
+        "run", BASE_INI.replace("curvature = 2.0", "curvature = -1")
+        .replace("heterogeneity = 1.0", "heterogeneity = 0"),
+        "[objective] curvature"),
+    "nan curvature": (
+        "run", BASE_INI.replace("curvature = 2.0", "curvature = nan")
+        .replace("heterogeneity = 1.0", "heterogeneity = 0"),
+        "[objective] curvature"),
+    "inf curvature": ("run", BASE_INI.replace("curvature = 2.0", "curvature = inf"),
+                      "[objective] curvature"),
+    "nan sigma": ("run", BASE_INI.replace("sigma = 0.5", "sigma = nan"),
+                  "[objective] noise_sigma"),
+    "inf sigma": ("run", BASE_INI.replace("sigma = 0.5", "sigma = inf"),
+                  "[objective] noise_sigma"),
+    "zero logistic dim": ("run", LOGISTIC_INI.replace("dim = 2", "dim = 0"),
+                          "[objective] dim"),
+    "nan regularization": (
+        "run", LOGISTIC_INI.replace("= 5", "= 5\nregularization = nan"),
+        "[objective] regularization"),
+    "inf regularization": (
+        "run", LOGISTIC_INI.replace("= 5", "= 5\nregularization = inf"),
+        "[objective] regularization"),
+    "nan label skew": (
+        "run", LOGISTIC_INI.replace("= 5", "= 5\nlabel_skew = nan"),
+        "[objective] label_skew"),
+    "nan x0": ("run", BASE_INI.replace("x0 = 1.0, -1.0", "x0 = nan, 0"),
+               "[train] x0"),
+    "inf x0 in bounds": (
+        "bounds", BASE_INI.replace("x0 = 1.0, -1.0", "x0 = 0, inf"), "[train] x0"),
+    "lr whose bounds overflow": (
+        "bounds", BASE_INI.replace("lr = 0.01", "lr = 1e308"), "[train] bounds"),
+    "lr whose bounds are infinite": (
+        "bounds", BASE_INI.replace("lr = 0.01", "lr = 1e154"), "[train] bounds"),
     "divergence factor below one": (
         "run", BASE_INI + "divergence_factor = 0.5\n",
         "[train] divergence_factor"),

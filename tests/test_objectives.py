@@ -25,7 +25,7 @@ class TestLocalGrad:
         assert fam.local_grad(0, [0.0]) == pytest.approx(-1.0)
 
     def test_identity_quadratic_2d(self):
-        fam = ss.QuadraticFamily([ss.QuadraticClient(np.eye(2), [0.0, 0.0])])
+        fam = ss.QuadraticFamily([ss.QuadraticClient(np.ones(2), [0.0, 0.0])])
         np.testing.assert_allclose(fam.local_grad(0, [3.0, 4.0]), [3.0, 4.0])
 
     def test_logistic_matches_finite_differences(self):
@@ -200,6 +200,47 @@ class TestQuadraticValidation:
             warnings.simplefilter("error")  # the mean of no centers warns
             with pytest.raises(ValueError, match="client"):
                 ss.quadratic_family(0, dim=2, heterogeneity=1.0)
+
+    @pytest.mark.parametrize("curvature,center,sigma,match", [
+        (np.eye(2), [0.0, 0.0], 0.0, "broadcast|dimensions"),
+        (np.ones(3), [0.0, 0.0], 0.0, "broadcast|dimensions"),
+        (-1.0, [0.0], 0.0, "curvature"),
+        (np.nan, [0.0], 0.0, "curvature"),
+        (np.inf, [0.0], 0.0, "curvature"),
+        (1.0, [np.nan], 0.0, "center"),
+        (1.0, [np.inf], 0.0, "center"),
+        (1.0, [0.0], np.nan, "noise_sigma"),
+        (1.0, [0.0], np.inf, "noise_sigma"),
+    ])
+    def test_client_rejects(self, curvature, center, sigma, match):
+        with pytest.raises(ValueError, match=match):
+            ss.QuadraticClient(curvature, center, noise_sigma=sigma)
+
+    def test_client_broadcasts_curvature_to_center(self):
+        c = ss.QuadraticClient(2.0, [1.0, 2.0, 3.0])
+        assert same_bits(c.curvature, np.full(3, 2.0))
+
+    def test_family_stacks_clients_as_rows(self):
+        fam = ss.QuadraticFamily([ss.QuadraticClient([1.0, 2.0], [0.0, 1.0], 0.5),
+                                  ss.QuadraticClient(3.0, [2.0, -1.0])])
+        assert same_bits(fam.centers, [[0.0, 1.0], [2.0, -1.0]])
+        assert same_bits(fam.curvature, [[1.0, 2.0], [3.0, 3.0]])
+        assert same_bits(fam.sigma, [0.5, 0.0])
+        assert (fam.n_clients, fam.dim) == (2, 2)
+
+    def test_optimum_under_differing_curvatures_zeroes_the_gradient(self):
+        g = stream(23, 0)
+        fam = ss.QuadraticFamily([ss.QuadraticClient(g.uniform(0.5, 3.0, 3),
+                                                      g.normal(size=3))
+                                  for _ in range(4)])
+        assert not fam.shares_curvature()
+        np.testing.assert_allclose(ss.global_grad(fam, fam.optimum()), 0.0,
+                                   atol=1e-12)
+
+    def test_optimum_of_an_uncurved_coordinate_is_the_mean_center(self):
+        fam = ss.QuadraticFamily([ss.QuadraticClient([1.0, 0.0], [1.0, 4.0]),
+                                  ss.QuadraticClient([3.0, 0.0], [-1.0, 2.0])])
+        assert same_bits(fam.optimum(), [-0.5, 3.0])
 
 
 class TestBatchSizeValidation:

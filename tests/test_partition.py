@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsim import (Partition, partition_classes, partition_dirichlet,
-                      partition_stats)
+from splitsim import partition_classes, partition_dirichlet, partition_stats
 from splitsim.partition import InfeasiblePartition
 from splitsim.rng import stream
 
@@ -151,12 +150,3 @@ class TestInvariants:
             means.append(np.mean(vals))
         assert all(a >= b for a, b in zip(means, means[1:]))
 
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        labels = balanced_labels(5, 8)
-        p = partition_dirichlet(labels, 4, 1.0, seed=2)
-        q = Partition.from_json(p.to_json(), labels=labels)
-        assert q.assignments == p.assignments
-        assert q.class_counts == p.class_counts
-        assert q.mechanism == "dirichlet"
