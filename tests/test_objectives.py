@@ -216,10 +216,6 @@ class TestQuadraticValidation:
         with pytest.raises(ValueError, match=match):
             ss.QuadraticClient(curvature, center, noise_sigma=sigma)
 
-    def test_client_broadcasts_curvature_to_center(self):
-        c = ss.QuadraticClient(2.0, [1.0, 2.0, 3.0])
-        assert same_bits(c.curvature, np.full(3, 2.0))
-
     def test_family_stacks_clients_as_rows(self):
         fam = ss.QuadraticFamily([ss.QuadraticClient([1.0, 2.0], [0.0, 1.0], 0.5),
                                   ss.QuadraticClient(3.0, [2.0, -1.0])])
