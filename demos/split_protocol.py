@@ -3,8 +3,8 @@
 A tiny MLP is split at its hidden layer: the client owns the input-side
 weights, the server owns the output-side head. Training exchanges four
 messages per step (activations up, loss + activation-gradients down):
-``local_update`` on an ``MlpObjective``, the step every engine round rule
-takes, runs them on each step. The resulting parameter trajectory is
+``local_update`` on an ``MlpObjective``, a one-row pass of the step loop
+every engine round rule runs, sends them on each step. The resulting parameter trajectory is
 identical -- to floating-point round-off -- to ordinary SGD on the
 concatenated parameter vector through the monolithic oracle.
 """

@@ -2,6 +2,9 @@
 
 A single run is strictly sequential (the split protocol is inherently
 relay-based); distinct runs are pure functions of (objective, config).
+Each round is one pass of the family's ``pass_oracle`` over an iterate
+buffer: the SL relay is one row of N*K steps, FedAvg's participants are
+rows stepped together, minibatch SGD is one step of N*K rows.
 """
 
 from __future__ import annotations
@@ -13,10 +16,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import objectives as obj
-from .rng import ORDER, STEP, keys, rekeyer, stream
+# stream, the reference keys and rekeyer reproduce, is unused here, but
+# perfbench/layers.py times it under this module's name
+from .rng import ORDER, STEP, keys, rekeyer, stream  # noqa: F401
 
 ALGORITHMS = ("sl", "fl", "minibatch")
 KEY_BLOCK = 2**16  # most steps keyed in one pass: key memory stays flat in R
+DRIFT_BLOCK = 2**14  # most floats in one drift temporary: no large allocation
 
 
 class Divergence(RuntimeError):
@@ -119,111 +125,150 @@ def _json_real(v):
     return v if np.isfinite(v) else None
 
 
+def _pass(objective, starts, clients: np.ndarray, local_steps: int, lr: float,
+          rng, r: int | None = None) -> np.ndarray:
+    """The (K+1, B, d) iterates of one pass: row b starts at ``starts[b]``
+    and takes step k on client ``clients[k, b]`` with Generator ``rng(k, b)``.
+
+    Overflow is silenced and a non-finite row steps on (x - lr*g never makes
+    a non-finite coordinate finite); then, as stepping the rows one after
+    another would, the first such row raises Divergence with its last finite
+    iterate, its step within its client's ``local_steps`` and round ``r``.
+    """
+    K, B = clients.shape
+    V = np.empty((K + 1, B, objective.dim))
+    V[0] = starts
+    g = np.empty((B, objective.dim))  # one buffer per pass, not one per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = objective.pass_oracle(clients, rng)
+        for k in range(K):
+            grad(V[k], k, g)
+            g *= lr
+            np.subtract(V[k], g, out=V[k + 1])
+    bad = ~np.isfinite(V[1:]).all(axis=2)
+    if bad.any():
+        b = int(bad.any(axis=0).argmax())
+        k = int(bad[:, b].argmax())
+        raise Divergence(V[k, b].copy(), k % local_steps, r)
+    return V
+
+
+def _drift(V: np.ndarray, x: np.ndarray, local_steps: int) -> float:
+    """Summed squared distance from x of the iterates each step starts from:
+    per client in step order, then across clients in row and relay order."""
+    visited = V[:-1]
+    per = max(1, DRIFT_BLOCK // V[0].size)  # steps per temporary
+    sq = []
+    for j in range(0, len(visited), per):
+        diff = visited[j:j + per] - x
+        sq.append(np.sum(np.square(diff, out=diff), axis=2))
+    drift = 0.0
+    for row in np.concatenate(sq).T.tolist():
+        for j in range(0, len(row), local_steps):
+            drift += sum(row[j:j + local_steps])
+    return drift
+
+
 def local_update(x, objective, client: int, steps: int, lr: float,
                  rngs: Callable[[int], np.random.Generator]):
-    """Run ``steps`` sequential stochastic gradient steps on client ``client``.
+    """Run ``steps`` sequential stochastic gradient steps on client ``client``:
+    a one-row pass.
 
-    ``rngs`` maps the step index to that step's Generator, valid only inside
-    that ``stochastic_grad`` call. Returns (x_out, visited) where visited[k]
-    is the iterate before step k.
+    ``rngs`` maps the step index to that step's Generator, valid only until
+    the next one is asked for. Returns (x_out, visited) where visited[k] is
+    the iterate before step k.
 
     Overflow and invalid operations inside a step are silenced: a
     non-finite iterate is the divergence signal, raised as Divergence
     carrying the last finite iterate.
     """
-    x = np.array(x, dtype=float)
-    visited = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            visited.append(x)  # never written in place, only rebound
-            nxt = x - lr * objective.stochastic_grad(client, x, rngs(k))
-            if not np.isfinite(nxt).all():
-                raise Divergence(x, k)
-            x = nxt
-    return x, visited
+    x = obj._as_param(x, objective.dim)
+    V = _pass(objective, x, np.full((steps, 1), client), steps, lr,
+              lambda k, b: rngs(k))[:, 0]
+    return V[steps].copy(), list(V[:steps].copy())
 
 
-def _round_order(config: TrainConfig, r: int) -> list[int]:
+def _round_order(config: TrainConfig, rngs) -> list[int]:
     if config.order_policy == "fixed":
         return list(range(config.participants))
-    g = stream(config.seed, ORDER, r)
-    return list(g.permutation(config.n_clients)[: config.participants])
+    return list(rngs.order().permutation(config.n_clients)[: config.participants])
 
 
 def step_rngs(config: TrainConfig, r0: int, r1: int) -> list:
-    """Per round r0 .. r1-1, ``rngs(i, k)``: client i's step-k Generator, one
-    generator (``rng.rekeyer``) re-keyed per step; a round rule called
-    without ``rngs`` derives its round's the same way."""
+    """Per round r0 .. r1-1, ``rngs(i, k)``: client i's step-k Generator, and
+    ``rngs.order()``: the round's client-order Generator. Every key of the
+    block is hashed at once (``rng.keys``) and one generator is re-keyed per
+    use (``rng.rekeyer``); a round rule called without ``rngs`` derives its
+    round's the same way."""
     shape = (r1 - r0, config.n_clients, config.local_steps)
     paths = np.indices((1, *shape)).reshape(4, -1).T + [STEP, r0, 0, 0]
+    orders = ([None] * shape[0] if config.order_policy == "fixed" else
+              keys(config.seed, [(ORDER, r) for r in range(r0, r1)]).tolist())
     rekey = rekeyer()
-    return [lambda i, k, t=t: rekey(t[i][k])
-            for t in keys(config.seed, paths).reshape(*shape, 2).tolist()]
-
-
-def _client_pass(start, x, objective, config: TrainConfig, r: int, i: int, rngs):
-    """Client i's local update from ``start`` in round r, plus its drift from x."""
-    try:
-        out, visited = local_update(start, objective, i, config.local_steps,
-                                    config.lr, lambda k: rngs(i, k))
-    except Divergence as d:
-        d.round_index = r
-        raise
-    # per-step sums added in step order: the bits of summing each step alone
-    return out, sum(np.sum((np.array(visited) - x) ** 2, axis=1).tolist())
+    block = []
+    for t, o in zip(keys(config.seed, paths).reshape(*shape, 2).tolist(), orders):
+        rngs = lambda i, k, t=t: rekey(t[i][k])
+        rngs.order = lambda o=o: rekey(o)
+        block.append(rngs)
+    return block
 
 
 def sl_round(x, objective, config: TrainConfig, r: int, rngs=None):
-    """One sequential split-learning round.
+    """One sequential split-learning round: one pass of N*K steps on one row.
 
-    Clients in the sampled order each run local_update seeded from the
+    Clients in the sampled order each take K steps, each starting from the
     previous client's output; the returned iterate interpolates between x
     and the raw relay output with the global learning rate. Drift is the
     summed squared distance of every visited iterate from x.
     """
-    x = np.asarray(x, dtype=float)
+    x = obj._as_param(x, objective.dim)
     rngs = rngs or step_rngs(config, r, r + 1)[0]
-    order = _round_order(config, r)
-    cur = x  # local_update copies its start
-    drift = 0.0
-    for i in order:
-        cur, drift_i = _client_pass(cur, x, objective, config, r, i, rngs)
-        drift += drift_i
+    order = _round_order(config, rngs)
+    K = config.local_steps
+    V = _pass(objective, x, np.repeat(order, K)[:, None], K, config.lr,
+              lambda k, b: rngs(order[k // K], k % K), r)
+    cur = V[-1, 0].copy()  # a view would keep the whole pass alive
+    drift = _drift(V, x, K)
     # eta_g = 1 must reproduce the vanilla relay output bit-for-bit
     out = cur if config.global_lr == 1.0 else x + config.global_lr * (cur - x)
     return out, drift, order
 
 
 def fl_round(x, objective, config: TrainConfig, r: int, rngs=None):
-    """One FedAvg round: parallel local updates from x, weighted averaging."""
-    x = np.asarray(x, dtype=float)
+    """One FedAvg round: one pass of K steps with the participants as rows,
+    each from x, then weighted averaging."""
+    x = obj._as_param(x, objective.dim)
     rngs = rngs or step_rngs(config, r, r + 1)[0]
-    order = _round_order(config, r)
+    order = _round_order(config, rngs)
     sizes = getattr(objective, "client_sizes", None)
     weights = np.array([1.0 if sizes is None else sizes[i] for i in order], dtype=float)
     weights /= weights.sum()
+    K = config.local_steps
+    V = _pass(objective, x, np.tile(order, (K, 1)), K, config.lr,
+              lambda k, b: rngs(order[b], k), r)
     avg = np.zeros_like(x)
-    drift = 0.0
-    for w, i in zip(weights, order):
-        out, drift_i = _client_pass(x, x, objective, config, r, i, rngs)
+    for w, out in zip(weights, V[-1]):
         avg += w * out
-        drift += drift_i
+    drift = _drift(V, x, K)
     out = avg if config.global_lr == 1.0 else x + config.global_lr * (avg - x)
     return out, drift
 
 
 def minibatch_round(x, objective, config: TrainConfig, r: int, rngs=None):
-    """All N*K stochastic gradients evaluated at x, averaged, one step."""
-    x = np.asarray(x, dtype=float)
+    """All N*K stochastic gradients evaluated at x, as one pass step with
+    N*K rows, averaged, one step."""
+    x = obj._as_param(x, objective.dim)
     rngs = rngs or step_rngs(config, r, r + 1)[0]
-    total = np.zeros_like(x)
-    count = 0
+    K = config.local_steps
+    n = config.n_clients * K
+    grads = np.zeros((n + 1, objective.dim))  # row 0: the sum's +0.0 start
     with np.errstate(over="ignore", invalid="ignore"):  # as in local_update
-        for i in range(config.n_clients):
-            for k in range(config.local_steps):
-                total += objective.stochastic_grad(i, x, rngs(i, k))
-                count += 1
-        nxt = x - config.lr * total / count
+        grad = objective.pass_oracle(np.arange(n)[None] // K,
+                                     lambda k, b: rngs(b // K, b % K))
+        grad(np.broadcast_to(x, (n, objective.dim)), 0, grads[1:])
+        # accumulate adds the rows one by one, as a loop does; np.sum pairs them
+        total = np.add.accumulate(grads)[-1]
+        nxt = x - config.lr * total / n
     if not np.isfinite(nxt).all():
         raise Divergence(x, 0, r)
     return nxt

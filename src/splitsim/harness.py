@@ -332,9 +332,11 @@ def cmd_bounds(spec: ExperimentSpec, out_dir=None) -> int:
     constants = _call("objective", analytic_constants, {"objective": objective})
 
     x0 = np.zeros(objective.dim) if config.x0 is None else np.asarray(config.x0)
-    # clamped: f(x*) can round above f(x0) when x0 is the optimum
-    init_gap = max(0.0, float(obj.global_loss(objective, x0)
-                              - objective.min_loss()))
+    # clamped: f(x*) can round above f(x0) when x0 is the optimum; an
+    # overflow here is a non-finite bound, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        init_gap = max(0.0, float(obj.global_loss(objective, x0)
+                                  - objective.min_loss()))
     inputs = _call("train", BoundInputs, dict(
         constants=constants, n_clients=config.n_clients,
         local_steps=config.local_steps, rounds=config.rounds, eta=config.lr,

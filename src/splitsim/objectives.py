@@ -9,6 +9,13 @@ Three families are provided:
 
 All instances are immutable after construction; every evaluation is a pure
 function of (x, rng), so objectives can be shared across runs.
+
+Each family's stochastic oracle is ``pass_oracle(clients, rng)``: for a
+(K, B) array of client indices and ``rng(k, b)``, the Generator of step k
+of row b, it draws the whole pass's randomness up front and returns
+``grad(X, k, out)``, which writes client ``clients[k, b]``'s stochastic
+gradient at ``X[b]`` into ``out[b]``. ``stochastic_grad`` is its one-row
+call.
 """
 
 from __future__ import annotations
@@ -24,6 +31,14 @@ def _as_param(x, dim: int) -> np.ndarray:
     if x.shape != (dim,):
         raise ValueError(f"parameter vector has shape {x.shape}, expected ({dim},)")
     return x
+
+
+def _one_row(family, client: int, x, rng: np.random.Generator) -> np.ndarray:
+    """``family.stochastic_grad``: a one-step, one-row ``pass_oracle`` call."""
+    x = _as_param(x, family.dim)
+    out = np.empty((1, family.dim))
+    family.pass_oracle(np.array([[client]]), lambda k, b: rng)(x[None], 0, out)
+    return out[0]
 
 
 @dataclass(frozen=True)
@@ -88,13 +103,10 @@ class QuadraticFamily:
         self.sigma = np.array([c.noise_sigma for c in clients], dtype=float)
         self.n_clients, self.dim = self.centers.shape
         self.client_sizes = None  # uniform weights
-        # per-client (curvature, center, sigma) views: a step indexes no 2-D array
-        self._rows = tuple(zip(self.curvature, self.centers, self.sigma.tolist()))
 
     def local_loss_grad(self, client: int, x):
-        curv, center, _ = self._rows[client]
-        d = _as_param(x, self.dim) - center
-        grad = curv * d
+        d = _as_param(x, self.dim) - self.centers[client]
+        grad = self.curvature[client] * d
         return 0.5 * float(d @ grad), grad
 
     def local_loss(self, client: int, x) -> float:
@@ -104,12 +116,26 @@ class QuadraticFamily:
         return self.local_loss_grad(client, x)[1]
 
     def stochastic_grad(self, client: int, x, rng: np.random.Generator) -> np.ndarray:
-        curv, center, sigma = self._rows[client]
-        g = curv * (_as_param(x, self.dim) - center)
-        if sigma == 0.0:
-            return g
-        # isotropic noise with E||eps||^2 = sigma^2
-        return g + rng.normal(0.0, sigma / np.sqrt(self.dim), size=self.dim)
+        return _one_row(self, client, x, rng)
+
+    def pass_oracle(self, clients: np.ndarray, rng):
+        curv, centers = self.curvature[clients], self.centers[clients]
+        sigma = self.sigma[clients]
+        noisy = sigma != 0.0
+        # isotropic noise with E||eps||^2 = sigma^2, drawn in (k, b) order;
+        # 0.0 + scale * z is what Generator.normal(0.0, scale) computes
+        noise = np.zeros(curv.shape)
+        for k, b in np.argwhere(noisy).tolist():
+            rng(k, b).standard_normal(out=noise[k, b])
+        noise = 0.0 + (sigma / np.sqrt(self.dim))[:, :, None] * noise
+        # a noiseless row gets nothing added: g + 0.0 would turn -0.0 into +0.0
+        where = [True] * len(noisy) if noisy.all() else list(noisy[:, :, None])
+
+        def grad(X, k, out):
+            np.subtract(X, centers[k], out=out)
+            out *= curv[k]
+            np.add(out, noise[k], out=out, where=where[k])
+        return grad
 
     def shares_curvature(self) -> bool:
         return bool((self.curvature == self.curvature[0]).all())
@@ -197,12 +223,20 @@ class LogisticFamily:
         return self.local_loss_grad(client, x)[1]
 
     def stochastic_grad(self, client: int, x, rng: np.random.Generator) -> np.ndarray:
-        c = self.clients[client]
-        x = _as_param(x, self.dim)
-        idx = rng.choice(c.n_samples, size=min(self.batch_size, c.n_samples),
-                         replace=False)
-        feats = c.features[idx]
-        return self._grad(feats, c.labels[idx], feats @ x, x)
+        return _one_row(self, client, x, rng)
+
+    def pass_oracle(self, clients: np.ndarray, rng):
+        rows = [[self.clients[c] for c in row] for row in clients.tolist()]
+        # each step's minibatch indices, drawn in (k, b) order
+        idx = [[rng(k, b).choice(c.n_samples, size=min(self.batch_size, c.n_samples),
+                                 replace=False) for b, c in enumerate(row)]
+               for k, row in enumerate(rows)]
+
+        def grad(X, k, out):
+            for b, (c, i) in enumerate(zip(rows[k], idx[k])):
+                feats = c.features[i]
+                out[b] = self._grad(feats, c.labels[i], feats @ X[b], X[b])
+        return grad
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +407,24 @@ class MlpObjective:
         return self.local_loss_grad(client, x)[1]
 
     def stochastic_grad(self, client: int, x, rng: np.random.Generator) -> np.ndarray:
-        feats, targets = self.datasets[client]
-        n = feats.shape[0]
-        if self.batch_size and self.batch_size < n:
-            idx = rng.choice(n, size=self.batch_size, replace=False)
-            feats, targets = feats[idx], targets[idx]
-        _, client_grad, server_grad, _ = split_forward_backward(
-            self.template, (feats, targets), _as_param(x, self.dim))
-        return np.concatenate([client_grad, server_grad])
+        return _one_row(self, client, x, rng)
+
+    def pass_oracle(self, clients: np.ndarray, rng):
+        rows = clients.tolist()
+        # each step's minibatch indices (every sample for a full batch),
+        # drawn in (k, b) order; the batches are gathered per step
+        sizes = [len(feats) for feats, _ in self.datasets]
+        idx = [[rng(k, b).choice(sizes[c], size=self.batch_size, replace=False)
+                if 0 < self.batch_size < sizes[c] else slice(None)
+                for b, c in enumerate(row)] for k, row in enumerate(rows)]
+
+        def grad(X, k, out):
+            for b, (c, i) in enumerate(zip(rows[k], idx[k])):
+                feats, targets = self.datasets[c]
+                _, client_grad, server_grad, _ = split_forward_backward(
+                    self.template, (feats[i], targets[i]), X[b])
+                np.concatenate([client_grad, server_grad], out=out[b])
+        return grad
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +463,17 @@ def analytic_constants(objective: QuadraticFamily) -> HeterogeneityConstants:
     if not objective.shares_curvature():
         raise ValueError("clients have differing curvatures")
     lmax = float(np.max(objective.curvature[0]))
-    sigma2 = float(np.max(objective.sigma))**2
+    try:
+        sigma2 = float(np.max(objective.sigma))**2
+    except OverflowError:
+        raise ValueError("sigma: its square overflows") from None
     centers = objective.centers
-    spread = float(np.mean(np.sum((centers - centers.mean(axis=0))**2, axis=1)))
-    return HeterogeneityConstants(L=lmax, sigma2=sigma2, B=1.0,
-                                  G=float(lmax * np.sqrt(spread)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(np.mean(np.sum((centers - centers.mean(axis=0))**2, axis=1)))
+        G = float(lmax * np.sqrt(spread))
+    if not np.isfinite(G):
+        raise ValueError("heterogeneity: G, from the spread of the centers, overflows")
+    return HeterogeneityConstants(L=lmax, sigma2=sigma2, B=1.0, G=G)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +510,11 @@ def quadratic_family(n_clients: int, dim: int = 1, curvature: float = 1.0,
             centers[0, 0], centers[-1, 0] = 1.0, -1.0
             centers -= centers.mean(axis=0)
             rms = np.sqrt(np.mean(np.sum(centers**2, axis=1)))
-        centers *= heterogeneity / (curvature * rms)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            centers *= heterogeneity / (curvature * rms)
+        if not np.isfinite(centers).all():
+            raise ValueError(f"curvature: {curvature!r} is too small for heterogeneity "
+                             f"{heterogeneity!r}: the centers overflow")
     return QuadraticFamily([
         QuadraticClient(curvature=np.full(dim, curvature), center=c, noise_sigma=sigma)
         for c in centers

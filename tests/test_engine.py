@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import splitsim as ss
+from splitsim import engine
 from splitsim.engine import Divergence, step_rngs
 from splitsim.rng import ORDER, STEP, stream
 
@@ -164,8 +165,10 @@ class TestMinibatchRound:
         class NanGrad:
             dim, n_clients = 1, 2
 
-            def stochastic_grad(self, client, x, rng):
-                return np.array([np.nan])
+            def pass_oracle(self, clients, rng):
+                def grad(X, k, out):
+                    out[:] = np.nan
+                return grad
 
         cfg = ss.TrainConfig(algorithm="minibatch", n_clients=2, rounds=9, lr=0.1)
         with pytest.raises(Divergence) as exc:
@@ -259,6 +262,196 @@ class TestNoisePathEqualsStreams:
                      step_rngs(cfg, 0, 4)[self.R]):
             assert rule(x, fam, cfg, self.R, rngs).tobytes() == want.tobytes()
         assert not np.array_equal(want, rule(x, fam, replace(cfg, seed=seed + 1), self.R))
+
+
+def serial_update(fam, x, client, steps, lr, rngs):
+    """The reference step loop: one ``stochastic_grad`` call per step,
+    raising at the first non-finite iterate."""
+    x = np.array(x, dtype=float)
+    visited = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            visited.append(x)
+            nxt = x - lr * fam.stochastic_grad(client, x, rngs(k))
+            if not np.isfinite(nxt).all():
+                raise Divergence(x, k)
+            x = nxt
+    return x, visited
+
+
+def serial_drift(visited, x):
+    return sum(np.sum((np.array(visited) - x) ** 2, axis=1).tolist())
+
+
+def mlp_family():
+    rng = stream(21, 9)
+    model = ss.SplitMlp.random(3, 4, 2, rng)
+    data = [(rng.normal(size=(6, 3)), rng.normal(size=(6, 2))) for _ in range(4)]
+    return ss.MlpObjective(model, data, batch_size=4)
+
+
+def mixed_sigma():
+    """Noiseless and noisy rows; client 0's zero curvature makes its
+    gradient -0.0 left of its center, which a +0.0 noise would flip."""
+    return ss.QuadraticFamily([
+        ss.QuadraticClient([0.0, 1.0], [1.0, 2.0], 0.0),
+        ss.QuadraticClient([1.0, 0.5], [0.5, -1.0], 0.3),
+        ss.QuadraticClient([2.0, 0.0], [-0.5, 0.0], 0.0),
+        ss.QuadraticClient([0.5, 1.5], [0.0, 1.0], 1.1)])
+
+
+class TestPass:
+    """A pass steps its rows bit for bit as stepping each row on its own,
+    one stochastic_grad call per step, with the serial drift sums."""
+
+    FAMILIES = {
+        "quadratic-d20": lambda: ss.quadratic_family(
+            4, dim=20, heterogeneity=1.0, sigma=0.5, seed=3),
+        "mixed-sigma": mixed_sigma,
+        "logistic": lambda: ss.logistic_family(
+            4, dim=3, samples_per_client=10, batch_size=4, seed=1),
+        "mlp": mlp_family,
+    }
+
+    @staticmethod
+    def start(fam, shift=0.0):
+        x = np.linspace(-0.5, 0.5, fam.dim) + shift
+        x[0] = -0.0  # with mixed-sigma: the -0.0 gradient decides step 0
+        return x
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_equal_one_row_updates(self, family):
+        fam = self.FAMILIES[family]()
+        clients, K, lr = [2, 0, 3, 0], 3, 0.05
+        starts = np.array([self.start(fam, 0.1 * b) for b in range(len(clients))])
+        V = engine._pass(fam, starts, np.tile(clients, (K, 1)), K, lr,
+                         lambda k, b: stream(9, STEP, 0, b, k))
+        for b, i in enumerate(clients):
+            out, visited = serial_update(fam, starts[b], i, K, lr,
+                                         lambda k: stream(9, STEP, 0, b, k))
+            assert V[:, b].tobytes() == np.array(visited + [out]).tobytes()
+            one, _ = ss.local_update(starts[b], fam, i, K, lr,
+                                     lambda k: stream(9, STEP, 0, b, k))
+            assert one.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("family", ["mixed-sigma", "quadratic-d20"])
+    def test_quadratic_rows_equal_closed_form(self, family):
+        """Each row is the exact gradient plus, for sigma > 0 only, the
+        step's Generator.normal draw; a noiseless -0.0 stays -0.0."""
+        fam = self.FAMILIES[family]()
+        clients = np.array([[0, 1, 2, 3], [3, 2, 1, 0]])
+        X = np.array([self.start(fam, 0.1 * b) for b in range(4)])
+        out = np.empty(X.shape)
+        grad = fam.pass_oracle(clients, lambda k, b: stream(9, STEP, 0, b, k))
+        for k in range(2):
+            grad(X, k, out)
+            for b, i in enumerate(clients[k]):
+                want = fam.local_grad(i, X[b])
+                if fam.sigma[i] > 0:
+                    want = want + stream(9, STEP, 0, b, k).normal(
+                        0.0, fam.sigma[i] / np.sqrt(fam.dim), fam.dim)
+                assert out[b].tobytes() == want.tobytes()
+        if family == "mixed-sigma":
+            assert np.signbit(out[3, 0]) and fam.sigma[0] == 0.0
+
+    def order(self, cfg, r):
+        return list(stream(cfg.seed, ORDER, r)
+                    .permutation(cfg.n_clients)[:cfg.participants])
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("global_lr", [1.0, 0.5])
+    def test_sl_pass_equals_relay(self, family, global_lr):
+        fam, r = self.FAMILIES[family](), 3
+        cfg = ss.TrainConfig(algorithm="sl", n_clients=4, rounds=5, local_steps=3,
+                             lr=0.05, global_lr=global_lr, clients_per_round=3, seed=8)
+        x = self.start(fam)
+        cur, drift = x, 0.0
+        for i in self.order(cfg, r):
+            cur, visited = serial_update(fam, cur, i, cfg.local_steps, cfg.lr,
+                                         lambda k: stream(cfg.seed, STEP, r, i, k))
+            drift += serial_drift(visited, x)
+        want = cur if global_lr == 1.0 else x + global_lr * (cur - x)
+        out, got_drift, order = ss.sl_round(x, fam, cfg, r)
+        assert order == self.order(cfg, r)
+        assert out.tobytes() == want.tobytes() and got_drift == drift
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_fl_pass_equals_serial_clients(self, family):
+        fam, r = self.FAMILIES[family](), 2
+        cfg = ss.TrainConfig(algorithm="fl", n_clients=4, rounds=5, local_steps=3,
+                             lr=0.05, clients_per_round=3, seed=8)
+        x = self.start(fam)
+        order = self.order(cfg, r)
+        sizes = fam.client_sizes
+        weights = np.array([1.0 if sizes is None else sizes[i] for i in order],
+                           dtype=float)
+        weights /= weights.sum()
+        avg, drift = np.zeros_like(x), 0.0
+        for w, i in zip(weights, order):
+            out, visited = serial_update(fam, x, i, cfg.local_steps, cfg.lr,
+                                         lambda k: stream(cfg.seed, STEP, r, i, k))
+            avg += w * out
+            drift += serial_drift(visited, x)
+        out, got_drift = ss.fl_round(x, fam, cfg, r)
+        assert out.tobytes() == avg.tobytes() and got_drift == drift
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_minibatch_equals_serial_sum(self, family):
+        fam, r = self.FAMILIES[family](), 1
+        cfg = ss.TrainConfig(algorithm="minibatch", n_clients=4, rounds=5,
+                             local_steps=3, lr=0.05, seed=8)
+        x = self.start(fam)
+        total = np.zeros_like(x)
+        for i in range(cfg.n_clients):
+            for k in range(cfg.local_steps):
+                total += fam.stochastic_grad(i, x, stream(cfg.seed, STEP, r, i, k))
+        want = x - cfg.lr * total / (cfg.n_clients * cfg.local_steps)
+        assert ss.minibatch_round(x, fam, cfg, r).tobytes() == want.tobytes()
+
+    def test_earlier_row_wins_divergence(self):
+        """Row 1 overflows at its step 1, row 0 only at its step 3: stepping
+        the rows one after another raises for row 0 first."""
+        fam = ss.QuadraticFamily([ss.QuadraticClient(1e100, [0.0]),
+                                  ss.QuadraticClient(1e200, [0.0])])
+        cfg = ss.TrainConfig(algorithm="fl", n_clients=2, rounds=9, local_steps=5,
+                             lr=1.0, order_policy="fixed")
+        with pytest.raises(Divergence) as want:
+            serial_update(fam, [1.0], 0, 5, 1.0, shared(stream(0, 1)))
+        with pytest.raises(Divergence) as late:
+            serial_update(fam, [1.0], 1, 5, 1.0, shared(stream(0, 1)))
+        assert (want.value.step, late.value.step) == (3, 1)
+        with pytest.raises(Divergence) as got:
+            ss.fl_round(np.ones(1), fam, cfg, 6)
+        assert (got.value.step, got.value.round_index) == (3, 6)
+        assert got.value.last_finite.tobytes() == want.value.last_finite.tobytes()
+        with pytest.raises(Divergence) as swapped:
+            engine._pass(fam, np.ones((2, 1)), np.tile([1, 0], (5, 1)), 5, 1.0,
+                         lambda k, b: stream(0, 1))
+        assert swapped.value.step == 1  # now the fast row comes first
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_sl_divergence_equals_relay(self, first):
+        """The relay overflows inside its second client: the pass reports
+        that client's own step, the round and the last finite iterate."""
+        fam = ss.QuadraticFamily([ss.QuadraticClient(1.0, [1.0]),
+                                  ss.QuadraticClient(1e200, [0.0])])
+        cfg = ss.TrainConfig(algorithm="sl", n_clients=2, rounds=9, local_steps=4,
+                             lr=1.0, order_policy="fixed")
+        order = [first, 1 - first]
+        x = np.array([1.0 if first else 2.0])
+        with pytest.raises(Divergence) as want:
+            cur = x
+            for i in order:
+                cur, _ = serial_update(fam, cur, i, 4, 1.0, shared(stream(0, 1)))
+        with pytest.raises(Divergence) as got:
+            engine._pass(fam, x, np.repeat(order, 4)[:, None], 4, 1.0,
+                         lambda k, b: stream(0, 1), 5)
+        assert (got.value.step, got.value.round_index) == (want.value.step, 5)
+        assert got.value.last_finite.tobytes() == want.value.last_finite.tobytes()
+        if first == 0:
+            with pytest.raises(Divergence) as rule:
+                ss.sl_round(x, fam, cfg, 5)
+            assert (rule.value.step, rule.value.round_index) == (want.value.step, 5)
 
 
 class TestRunTraining:

@@ -257,6 +257,21 @@ REJECTED = {
         "bounds", BASE_INI.replace("lr = 0.01", "lr = 1e308"), "[train] bounds"),
     "lr whose bounds are infinite": (
         "bounds", BASE_INI.replace("lr = 0.01", "lr = 1e154"), "[train] bounds"),
+    "sigma whose square overflows": (
+        "bounds", BASE_INI.replace("sigma = 0.5", "sigma = 1e200"),
+        "[objective] sigma"),
+    "heterogeneity whose constants overflow": (
+        "bounds", BASE_INI.replace("heterogeneity = 1.0", "heterogeneity = 1e300"),
+        "[objective] heterogeneity"),
+    "x0 whose loss overflows in bounds": (
+        "bounds", BASE_INI.replace("x0 = 1.0, -1.0", "x0 = 1e200, 0"),
+        "[train] bounds"),
+    "subnormal curvature": (
+        "run", BASE_INI.replace("curvature = 2.0", "curvature = 1e-320"),
+        "[objective] curvature"),
+    "subnormal curvature in bounds": (
+        "bounds", BASE_INI.replace("curvature = 2.0", "curvature = 1e-320"),
+        "[objective] curvature"),
     "divergence factor below one": (
         "run", BASE_INI + "divergence_factor = 0.5\n",
         "[train] divergence_factor"),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splitsim as ss
@@ -153,13 +153,17 @@ class TestRoundComplexity:
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.1, 5), st.floats(0, 4), st.floats(0, 4), st.integers(1, 20),
            st.integers(1, 10), st.floats(0.01, 1))
+    @example(F=3.0, sig2=0.0078125, G=0.0, n=2, k=6, eps=0.01171875)
     def test_gap_formula(self, F, sig2, G, n, k, eps):
         c = consts(sigma2=sig2, G=G)
-        gap = (ss.round_complexity("sl", F, c, n, k, eps)
-               - ss.round_complexity("fl", F, c, n, k, eps))
+        sl = ss.round_complexity("sl", F, c, n, k, eps)
+        fl = ss.round_complexity("fl", F, c, n, k, eps)
         expected = sig2**2 * (1 - 1 / n**2) / (k**2 * eps**2)
-        assert gap == pytest.approx(expected, rel=1e-9, abs=1e-12)
-        assert gap >= 0
+        # each operand is rounded once after their shared part, so their
+        # difference carries up to an ulp of the larger one beyond rel
+        assert sl - fl == pytest.approx(expected, rel=1e-9,
+                                        abs=4 * np.spacing(max(sl, fl)))
+        assert sl - fl >= 0
 
     def test_worked_example(self):
         val = ss.round_complexity("fl", 1.0, consts(sigma2=1.0), 10, 2, 0.1)
